@@ -35,7 +35,9 @@ class Dataset:
     """An n x m matrix of finite feature values.
 
     Labels, when present, are carried for external evaluation only and
-    are never consulted by the algorithm.
+    are never consulted by the algorithm. Construction rejects malformed
+    input with EmptyMatrixError, RaggedRowsError, or NonFiniteError
+    naming the first offending cell in row-major order.
     """
 
     values: np.ndarray
@@ -43,7 +45,20 @@ class Dataset:
     labels: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _freeze(np.asarray(self.values, dtype=float)))
+        values = np.asarray(self.values, dtype=float)
+        if values.size == 0:
+            raise EmptyMatrixError("dataset must contain at least one row and one column")
+        if values.ndim != 2:
+            raise RaggedRowsError(f"expected a 2-D matrix, got ndim={values.ndim}")
+        bad = ~np.isfinite(values)
+        if bad.any():
+            row, col = np.argwhere(bad)[0]
+            raise NonFiniteError(int(row), int(col))
+        if self.feature_names is not None and len(self.feature_names) != values.shape[1]:
+            raise RaggedRowsError("feature_names length does not match column count")
+        if self.labels is not None and len(self.labels) != values.shape[0]:
+            raise RaggedRowsError("labels length does not match row count")
+        object.__setattr__(self, "values", _freeze(values))
         if self.feature_names is not None:
             object.__setattr__(self, "feature_names", tuple(self.feature_names))
         if self.labels is not None:
@@ -63,34 +78,17 @@ def validate_dataset(
     feature_names: Optional[Sequence[str]] = None,
     labels=None,
 ) -> Dataset:
-    """Build a Dataset from a raw matrix, rejecting malformed input.
+    """Build a Dataset from a raw matrix or a sequence of rows, rejecting
+    ragged rows here and every other malformed input in Dataset.
 
-    Raises EmptyMatrixError, RaggedRowsError, or NonFiniteError naming
-    the first offending cell in row-major order.
+    The values are copied, so the caller's array stays writable.
     """
-    if isinstance(values, np.ndarray):
-        arr = values
-    else:
-        rows = list(values)
-        if rows:
-            lengths = {len(r) for r in rows}
-            if len(lengths) > 1:
-                raise RaggedRowsError(f"rows have differing lengths: {sorted(lengths)}")
-        arr = np.asarray(rows, dtype=float)
-    if arr.size == 0:
-        raise EmptyMatrixError("dataset must contain at least one row and one column")
-    if arr.ndim != 2:
-        raise RaggedRowsError(f"expected a 2-D matrix, got ndim={arr.ndim}")
-    arr = arr.astype(float)
-    bad = ~np.isfinite(arr)
-    if bad.any():
-        row, col = np.argwhere(bad)[0]
-        raise NonFiniteError(int(row), int(col))
-    if feature_names is not None and len(feature_names) != arr.shape[1]:
-        raise RaggedRowsError("feature_names length does not match column count")
-    if labels is not None and len(labels) != arr.shape[0]:
-        raise RaggedRowsError("labels length does not match row count")
-    return Dataset(values=arr, feature_names=feature_names, labels=labels)
+    if not isinstance(values, np.ndarray):
+        values = list(values)
+        lengths = {len(r) for r in values}
+        if len(lengths) > 1:
+            raise RaggedRowsError(f"rows have differing lengths: {sorted(lengths)}")
+    return Dataset(values=np.array(values, dtype=float), feature_names=feature_names, labels=labels)
 
 
 @dataclass(frozen=True)
@@ -167,15 +165,16 @@ class DispersionMatrix:
 def compute_dispersions(
     values: np.ndarray, assignments: np.ndarray, centroids: np.ndarray, p: float
 ) -> DispersionMatrix:
-    """Recompute the dispersion matrix from data, assignments, and centroids."""
+    """Recompute the dispersion matrix from data, assignments, and centroids.
+
+    One matrix product: the k x n cluster-membership indicator times the
+    per-point deviations |x_iv - z_{a(i)v}|^p. Empty clusters get zero rows.
+    """
     values = np.asarray(values, dtype=float)
-    k, m = np.asarray(centroids).shape
-    d = np.zeros((k, m))
-    for l in range(k):
-        members = values[assignments == l]
-        if members.size:
-            d[l] = np.sum(np.abs(members - centroids[l]) ** p, axis=0)
-    return DispersionMatrix(d=d)
+    centroids = np.asarray(centroids, dtype=float)
+    assignments = np.asarray(assignments)
+    members = np.arange(centroids.shape[0])[:, None] == assignments
+    return DispersionMatrix(d=members @ np.abs(values - centroids[assignments]) ** p)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,10 @@ iterations the objective never increases and the loop terminates. An
 emptied cluster is reseeded with the point farthest (by the current
 weighted distance) from its assigned centroid; such iterations may raise
 the objective and are reported separately.
+
+There is one loop. The centre step solves all k x m centres in one call;
+the dispersion step is one matrix product. Lloyd's k-means baseline is
+the same loop at p = 2 with every weight frozen at 1.
 """
 from __future__ import annotations
 
@@ -63,19 +67,21 @@ def assign_points(dataset, centroids, weights, p: float) -> np.ndarray:
 
 
 def update_centroids(dataset, assignments, k: int, p: float, center_tol: float) -> np.ndarray:
-    """Per-cluster, per-feature Minkowski centres.
+    """Per-cluster, per-feature Minkowski centres, all solved in one pass
+    over the points sorted by cluster.
 
     Raises EmptyClusterError if any cluster has no members; the caller
     must repair empties before updating centroids.
     """
     x = _values(dataset)
-    z = np.empty((k, x.shape[1]))
-    for l in range(k):
-        members = x[np.asarray(assignments) == l]
-        if members.shape[0] == 0:
-            raise EmptyClusterError(l)
-        z[l] = minkowski_center_columns(members, p, center_tol)
-    return z
+    assignments = np.asarray(assignments)
+    counts = np.bincount(assignments, minlength=k)
+    if (counts == 0).any():
+        raise EmptyClusterError(int(np.flatnonzero(counts == 0)[0]))
+    # stable, so each cluster keeps its points in data order
+    order = np.argsort(assignments, kind="stable")
+    offsets = np.cumsum(counts) - counts
+    return minkowski_center_columns(x[order], p, center_tol, offsets)
 
 
 def _repair_empty(x, assignments, centroids, weights, p, k) -> int:
@@ -104,36 +110,35 @@ def _objective(weights: np.ndarray, dispersions: DispersionMatrix, p: float) -> 
     return float(np.sum(weights**p * dispersions.d))
 
 
-def run(dataset: Dataset, config: MwkConfig, observer: Optional[Observer] = None) -> RunReport:
-    """One full clustering run from a seeded random initialisation.
+WeightStep = Callable[[DispersionMatrix, float], np.ndarray]
 
-    Initial weights are uniform 1/m; initial centroids are k distinct
-    data points drawn without replacement. The loop stops when an
-    iteration reassigns nothing, when the relative objective change
-    drops below tol_objective, or after max_iter iterations.
-    """
-    x = dataset.values
+
+def _alternate(
+    x: np.ndarray, config: MwkConfig, weight_step: WeightStep, observer: Optional[Observer]
+) -> RunReport:
+    """The alternating loop of run and run_classic_kmeans, with the
+    weight step as a parameter; initial weights are its answer for equal
+    dispersions. The report carries no bounds."""
     n, m = x.shape
-    if config.k > n:
-        raise InvalidConfigError(f"k={config.k} exceeds n={n}")
+    k, p = config.k, config.p
+    if k > n:
+        raise InvalidConfigError(f"k={k} exceeds n={n}")
     rng = np.random.default_rng(config.seed)
-    centroids = x[rng.choice(n, size=config.k, replace=False)].astype(float)
-    weights = np.full((config.k, m), 1.0 / m)
+    centroids = x[rng.choice(n, size=k, replace=False)].astype(float)
+    weights = weight_step(DispersionMatrix(d=np.ones((k, m))), p)
     prev_assign: Optional[np.ndarray] = None
     trace: list[float] = []
     repair_iters: list[int] = []
     converged = False
-    assignments = np.zeros(n, dtype=int)
-    dispersions = DispersionMatrix(d=np.zeros((config.k, m)))
 
     for it in range(config.max_iter):
-        assignments = assign_points(x, centroids, weights, config.p)
+        assignments = assign_points(x, centroids, weights, p)
         n_reassigned = n if prev_assign is None else int(np.sum(assignments != prev_assign))
-        repairs = _repair_empty(x, assignments, centroids, weights, config.p, config.k)
-        centroids = update_centroids(x, assignments, config.k, config.p, config.center_tol)
-        dispersions = compute_dispersions(x, assignments, centroids, config.p)
-        weights = update_weights(dispersions, config.p)
-        objective = _objective(weights, dispersions, config.p)
+        repairs = _repair_empty(x, assignments, centroids, weights, p, k)
+        centroids = update_centroids(x, assignments, k, p, config.center_tol)
+        dispersions = compute_dispersions(x, assignments, centroids, p)
+        weights = weight_step(dispersions, p)
+        objective = _objective(weights, dispersions, p)
         trace.append(objective)
         if repairs:
             repair_iters.append(it)
@@ -150,24 +155,38 @@ def run(dataset: Dataset, config: MwkConfig, observer: Optional[Observer] = None
                 converged = True
                 break
 
-    bounds = theory.objective_bounds(dispersions, config.p)
-    final_objective = trace[-1]
-    norm = theory.normalised_objective(final_objective, bounds)
     state = ClusteringState(
         assignments=assignments,
         centroids=centroids,
         weights=weights,
-        objective=final_objective,
+        objective=trace[-1],
     )
     return RunReport(
         objective_trace=tuple(trace),
         final_state=state,
         dispersions=dispersions,
-        bounds=(bounds.lower, bounds.upper),
-        normalised_objective=norm,
+        bounds=None,
+        normalised_objective=None,
         iterations=len(trace),
         converged=converged,
         repair_iterations=tuple(repair_iters),
+    )
+
+
+def run(dataset: Dataset, config: MwkConfig, observer: Optional[Observer] = None) -> RunReport:
+    """One full clustering run from a seeded random initialisation.
+
+    Initial weights are uniform 1/m; initial centroids are k distinct
+    data points drawn without replacement. The loop stops when an
+    iteration reassigns nothing, when the relative objective change
+    drops below tol_objective, or after max_iter iterations.
+    """
+    report = _alternate(dataset.values, config, update_weights, observer)
+    bounds = theory.objective_bounds(report.dispersions, config.p)
+    return dataclasses.replace(
+        report,
+        bounds=(bounds.lower, bounds.upper),
+        normalised_objective=theory.normalised_objective(report.final_state.objective, bounds),
     )
 
 
@@ -184,6 +203,10 @@ def run_restarts(
     return best, reports
 
 
+def _unit_weights(dispersions: DispersionMatrix, p: float) -> np.ndarray:
+    return np.ones(dispersions.d.shape)
+
+
 def run_classic_kmeans(
     dataset: Dataset,
     k: int,
@@ -194,62 +217,14 @@ def run_classic_kmeans(
     """Baseline Lloyd's algorithm: squared Euclidean distance, mean
     centroids, no feature weights (the report carries uniform 1/m).
 
-    The report's bounds and normalised objective are None: they are
-    defined for the weighted objective only.
+    This is the alternating loop at p = 2 with every weight frozen at 1,
+    so the objective is exactly the sum of squared errors. The report's
+    bounds and normalised objective are None: they are defined for the
+    weighted objective only.
     """
-    if k < 1:
-        raise InvalidConfigError(f"k must be >= 1, got {k}")
-    if max_iter < 1:
-        raise InvalidConfigError("max_iter must be >= 1")
-    x = dataset.values
-    n, m = x.shape
-    if k > n:
-        raise InvalidConfigError(f"k={k} exceeds n={n}")
-    rng = np.random.default_rng(seed)
-    centroids = x[rng.choice(n, size=k, replace=False)].astype(float)
-    uniform = np.full((k, m), 1.0 / m)
-    prev_assign: Optional[np.ndarray] = None
-    trace: list[float] = []
-    repair_iters: list[int] = []
-    converged = False
-    assignments = np.zeros(n, dtype=int)
-
-    for it in range(max_iter):
-        dists = ((x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-        assignments = np.argmin(dists, axis=1)
-        n_reassigned = n if prev_assign is None else int(np.sum(assignments != prev_assign))
-        repairs = _repair_empty(x, assignments, centroids, uniform * m, 2.0, k)
-        for l in range(k):
-            centroids[l] = x[assignments == l].mean(axis=0)
-        objective = float(np.sum((x - centroids[assignments]) ** 2))
-        trace.append(objective)
-        if repairs:
-            repair_iters.append(it)
-        prev_assign = assignments
-        if repairs == 0 and n_reassigned == 0 and len(trace) > 1:
-            converged = True
-            break
-        if len(trace) > 1:
-            prev = trace[-2]
-            rel = abs(prev - objective) / prev if prev > 0 else (0.0 if objective == 0 else np.inf)
-            if rel <= tol:
-                converged = True
-                break
-
-    dispersions = compute_dispersions(x, assignments, centroids, 2.0)
-    state = ClusteringState(
-        assignments=assignments,
-        centroids=centroids,
-        weights=uniform,
-        objective=trace[-1],
-    )
-    return RunReport(
-        objective_trace=tuple(trace),
-        final_state=state,
-        dispersions=dispersions,
-        bounds=None,
-        normalised_objective=None,
-        iterations=len(trace),
-        converged=converged,
-        repair_iterations=tuple(repair_iters),
+    config = MwkConfig(k=k, p=2.0, tol_objective=tol, max_iter=max_iter, seed=seed)
+    report = _alternate(dataset.values, config, _unit_weights, None)
+    uniform = np.full((k, dataset.m), 1.0 / dataset.m)
+    return dataclasses.replace(
+        report, final_state=dataclasses.replace(report.final_state, weights=uniform)
     )

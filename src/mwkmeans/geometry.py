@@ -3,7 +3,10 @@
 For p > 1 the per-feature centre objective f(z) = sum_i |s_i - z|^p is
 strictly convex, so its derivative is continuous and strictly increasing
 and the minimiser is found by bisection on the derivative over
-[min(samples), max(samples)]. All functions here are pure.
+[min(samples), max(samples)]. One bisection loop serves every caller: it
+solves all columns of all contiguous row blocks at once (the engine's k
+clusters x m features in one pass), and the scalar solver is its
+one-block, one-column case. All functions here are pure.
 """
 from __future__ import annotations
 
@@ -49,6 +52,34 @@ def center_gradient(samples, p: float, z: float) -> float:
     return float(np.sum(p * np.sign(d) * np.abs(d) ** (p - 1)))
 
 
+def _bisect_blocks(matrix: np.ndarray, offsets: np.ndarray, p: float, center_tol: float):
+    """Bisection on f' for every (block, column) cell of a matrix whose
+    rows fall into contiguous blocks starting at the given offsets.
+
+    Each cell's bracket starts at its block's [min, max] and halves until
+    its width drops below center_tol or it stops shrinking at float
+    resolution. p = 2 takes the closed-form mean. Returns the final
+    (lo, hi) brackets and per-cell step counts, each of shape (blocks, m).
+    """
+    sizes = np.diff(np.append(offsets, matrix.shape[0]))
+    if p == 2.0:
+        mean = np.add.reduceat(matrix, offsets, axis=0) / sizes[:, None]
+        return mean, mean, np.zeros(mean.shape, dtype=int)
+    lo = np.minimum.reduceat(matrix, offsets, axis=0)
+    hi = np.maximum.reduceat(matrix, offsets, axis=0)
+    iterations = np.zeros(lo.shape, dtype=int)
+    while True:
+        mid = 0.5 * (lo + hi)
+        active = (hi - lo > center_tol) & (mid > lo) & (mid < hi)
+        if not active.any():
+            return lo, hi, iterations
+        d = np.repeat(mid, sizes, axis=0) - matrix
+        g = np.add.reduceat(np.sign(d) * np.abs(d) ** (p - 1.0), offsets, axis=0)
+        lo = np.where(active & (g < 0.0), mid, lo)
+        hi = np.where(active & (g >= 0.0), mid, hi)
+        iterations += active
+
+
 def minkowski_center(samples, p: float, center_tol: float = DEFAULT_CENTER_TOL) -> CenterSolveResult:
     """Unique minimiser of f(z) = sum_i |s_i - z|^p for p > 1.
 
@@ -58,61 +89,34 @@ def minkowski_center(samples, p: float, center_tol: float = DEFAULT_CENTER_TOL) 
     samples = np.asarray(samples, dtype=float)
     if samples.size == 0:
         raise ValueError("samples must be nonempty")
-    if p == 2.0:
-        z = float(np.mean(samples))
-        return CenterSolveResult(z=z, f_value=center_objective(samples, p, z), iterations=0, bracket_width=0.0)
-    lo = float(np.min(samples))
-    hi = float(np.max(samples))
-    iterations = 0
-    while hi - lo > center_tol:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:  # bracket at float resolution
-            break
-        g = center_gradient(samples, p, mid)
-        if g < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        iterations += 1
+    lo, hi, iterations = _bisect_blocks(samples.reshape(-1, 1), np.zeros(1, dtype=int), p, center_tol)
+    lo, hi = float(lo[0, 0]), float(hi[0, 0])
     z = 0.5 * (lo + hi)
     return CenterSolveResult(
         z=z,
         f_value=center_objective(samples, p, z),
-        iterations=iterations,
+        iterations=int(iterations[0, 0]),
         bracket_width=hi - lo,
     )
 
 
 def minkowski_center_columns(
-    matrix: np.ndarray, p: float, center_tol: float = DEFAULT_CENTER_TOL
+    matrix: np.ndarray, p: float, center_tol: float = DEFAULT_CENTER_TOL, offsets=None
 ) -> np.ndarray:
     """Column-wise Minkowski centres of an (n, m) matrix.
 
-    Same bisection as minkowski_center, run on all columns at once; used
-    by the clustering engine where the centre is per-feature separable.
+    Without offsets the rows form one sample and the result has shape
+    (m,). With offsets (strictly increasing row indices starting at 0,
+    as for np.add.reduceat) each run of rows from one offset to the next
+    is its own sample and the result has shape (len(offsets), m); the
+    clustering engine passes its points sorted by cluster this way.
     """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.shape[0] == 0:
         raise ValueError("matrix must have at least one row")
-    if p == 2.0:
-        return matrix.mean(axis=0)
-    lo = matrix.min(axis=0).astype(float)
-    hi = matrix.max(axis=0).astype(float)
-    while True:
-        width = hi - lo
-        active = width > center_tol
-        if not active.any():
-            break
-        mid = 0.5 * (lo + hi)
-        # bracket exhausted at float resolution
-        stuck = (mid <= lo) | (mid >= hi)
-        active &= ~stuck
-        if not active.any():
-            break
-        d = mid[None, :] - matrix
-        g = np.sum(np.sign(d) * np.abs(d) ** (p - 1.0), axis=0)
-        go_up = active & (g < 0.0)
-        go_down = active & (g >= 0.0)
-        lo = np.where(go_up, mid, lo)
-        hi = np.where(go_down, mid, hi)
-    return 0.5 * (lo + hi)
+    blocks = np.zeros(1, dtype=int) if offsets is None else np.asarray(offsets, dtype=int)
+    if blocks.size == 0 or blocks[0] != 0 or (np.diff(blocks) <= 0).any() or blocks[-1] >= matrix.shape[0]:
+        raise ValueError("offsets must start at 0 and strictly increase below the row count")
+    lo, hi, _ = _bisect_blocks(matrix, blocks, p, center_tol)
+    z = 0.5 * (lo + hi)
+    return z[0] if offsets is None else z

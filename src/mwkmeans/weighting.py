@@ -17,32 +17,25 @@ from .core import DispersionMatrix
 from .errors import InvalidCError, InvalidMError, NonpositiveDispersionError
 
 
-def _weights_row(row: np.ndarray, p: float) -> np.ndarray:
-    """Weights for one cluster's dispersion row.
-
-    Zero dispersions take the limiting weights: all mass split evenly
-    over the zero-dispersion features (uniform 1/m when the whole row is
-    zero). Positive rows are computed in the log domain so exponents
-    1/(p-1) of 100+ neither overflow nor underflow.
-    """
-    zero = row == 0.0
-    if zero.any():
-        w = zero.astype(float)
-        return w / w.sum()
-    a = -np.log(row) / (p - 1.0)
-    a -= a.max()
-    w = np.exp(a)
-    return w / w.sum()
-
-
 def update_weights(dispersions: DispersionMatrix | np.ndarray, p: float) -> np.ndarray:
     """Optimal weight matrix for the given dispersions: each row is
-    D_lv^(-1/(p-1)) renormalised to sum to 1."""
+    D_lv^(-1/(p-1)) renormalised to sum to 1.
+
+    A row with zero dispersions takes the limiting weights: all mass
+    split evenly over its zero-dispersion features (uniform 1/m when the
+    whole row is zero). Positive rows are computed in the log domain so
+    exponents 1/(p-1) of 100+ neither overflow nor underflow.
+    """
     d = dispersions.d if isinstance(dispersions, DispersionMatrix) else np.asarray(dispersions, dtype=float)
     d = np.atleast_2d(d)
     if (d < 0).any():
         raise NonpositiveDispersionError("dispersions must be nonnegative")
-    return np.vstack([_weights_row(row, p) for row in d])
+    zero = d == 0.0
+    a = -np.log(np.where(zero, 1.0, d)) / (p - 1.0)
+    if zero.any():
+        a = np.where(zero.any(axis=1, keepdims=True), np.where(zero, 0.0, -np.inf), a)
+    w = np.exp(a - a.max(axis=1, keepdims=True))
+    return w / w.sum(axis=1, keepdims=True)
 
 
 def weight_ratio(d_u: float, d_v: float, p: float) -> float:

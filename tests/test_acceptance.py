@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from helpers import best_label_agreement, grid_search_center, two_blob_dataset
+from record_golden_reference import GOLDEN_PATH, rows_as_golden
 from mwkmeans import (
     MwkConfig,
     center_gradient,
@@ -220,6 +221,32 @@ def test_criterion_6c_uniform_weights_at_high_p(reference_experiment):
     _report_line(
         f"criterion 6c (p=1.1 to 5): per-dataset max |w - 1/8| strictly decreases ({per_p})", ok
     )
+
+
+def test_reference_experiment_matches_golden(reference_experiment):
+    """The reference experiment reproduces tests/golden_reference.json:
+    the same (dataset, p, run) and (dataset, p, cluster, feature) keys in
+    the same order, and every normalised objective and best-run weight
+    within 1e-9.
+
+    The file pins the numerical output of the engine, so a refactor or a
+    speed-up must leave it alone. Re-record it
+    (`PYTHONPATH=src python tests/record_golden_reference.py`) only for a
+    change meant to alter the numbers, such as a new solver tolerance or
+    data protocol, and then state the largest old-to-new difference in
+    CHANGES.md.
+    """
+    values, feature_weights, _ = reference_experiment
+    golden = json.loads(GOLDEN_PATH.read_text())
+    ok = True
+    for key, rows in rows_as_golden(values, feature_weights).items():
+        expected = golden[key]
+        ok &= [r[:-1] for r in rows] == [r[:-1] for r in expected]
+        if len(rows) == len(expected):
+            err = np.abs(np.array([r[-1] for r in rows]) - [r[-1] for r in expected]).max()
+            ok &= bool(err <= 1e-9)
+            print(f"{key}: {len(rows)} values, max |new - golden| = {err:.3g}")
+    _report_line("golden: reference experiment within 1e-9 of tests/golden_reference.json", ok)
 
 
 def test_criterion_7_planted_partition_recovery():

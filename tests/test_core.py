@@ -3,6 +3,7 @@ import pytest
 
 from mwkmeans import (
     ClusteringState,
+    Dataset,
     MwkConfig,
     compute_dispersions,
     run,
@@ -41,6 +42,22 @@ class TestValidateDataset:
     def test_labels_length_checked(self):
         with pytest.raises(RaggedRowsError):
             validate_dataset([[1, 2]], labels=[0, 1])
+
+    def test_directly_built_dataset_rejects_nan(self):
+        with pytest.raises(NonFiniteError) as exc:
+            Dataset(values=[[0.0, float("nan")]])
+        assert (exc.value.row, exc.value.col) == (0, 1)
+
+    def test_directly_built_dataset_must_be_a_matrix(self):
+        with pytest.raises(RaggedRowsError):
+            Dataset(values=[1.0, 2.0])
+
+    def test_run_never_sees_a_non_finite_dataset(self):
+        x = np.random.default_rng(0).normal(size=(6, 2))
+        x[3, 0] = np.inf
+        with pytest.raises(NonFiniteError) as exc:
+            run(Dataset(values=x), MwkConfig(k=2, p=1.5))
+        assert (exc.value.row, exc.value.col) == (3, 0)
 
     def test_values_are_read_only(self):
         d = validate_dataset([[1.0, 2.0]])
@@ -89,6 +106,13 @@ class TestDispersions:
         state = report.final_state
         recomputed = compute_dispersions(x, state.assignments, state.centroids, 1.5).d
         np.testing.assert_allclose(recomputed, report.dispersions.d, rtol=1e-12)
+
+
+    def test_empty_cluster_row_is_zero(self):
+        x = np.array([[0.0, 1.0], [2.0, 5.0], [4.0, 3.0]])
+        centroids = np.array([[1.0, 3.0], [9.0, 9.0], [4.0, 4.0]])
+        d = compute_dispersions(x, np.array([0, 0, 2]), centroids, 2.0).d
+        np.testing.assert_array_equal(d, [[2.0, 8.0], [0.0, 0.0], [0.0, 1.0]])
 
 
 class TestStateInvariants:

@@ -222,3 +222,18 @@ class TestClassicKMeans:
         report = run_classic_kmeans(validate_dataset([[0.0], [1.0], [2.0]]), k=1)
         assert report.bounds is None
         assert report.normalised_objective is None
+
+    @pytest.mark.parametrize("kwargs", [{"seed": -1}, {"tol": -1.0}, {"k": 0}, {"max_iter": 0}])
+    def test_invalid_arguments_rejected(self, kwargs):
+        args = {"k": 1, **kwargs}
+        with pytest.raises(InvalidConfigError):
+            run_classic_kmeans(validate_dataset([[0.0], [1.0], [2.0]]), **args)
+
+    def test_objective_is_sse_and_weights_uniform(self):
+        rng = np.random.default_rng(14)
+        x = rng.normal(size=(40, 3))
+        report = run_classic_kmeans(validate_dataset(x), k=3, seed=2)
+        state = report.final_state
+        sse = float(((x - state.centroids[state.assignments]) ** 2).sum())
+        assert state.objective == pytest.approx(sse, rel=1e-12)
+        np.testing.assert_array_equal(state.weights, np.full((3, 3), 1 / 3))

@@ -117,3 +117,21 @@ class TestCenterColumns:
         cols = minkowski_center_columns(matrix, p)
         for v in range(4):
             assert cols[v] == pytest.approx(minkowski_center(matrix[:, v], p).z, abs=1e-9)
+
+    @pytest.mark.parametrize("p", [1.1, 1.5, 2.0, 5.0])
+    def test_blocks_match_per_block_calls(self, p):
+        rng = np.random.default_rng(12)
+        sizes = [5, 1, 17, 2]
+        matrix = rng.uniform(-5, 5, (sum(sizes), 3))
+        offsets = np.cumsum(sizes) - sizes
+        blocks = minkowski_center_columns(matrix, p, offsets=offsets)
+        assert blocks.shape == (4, 3)
+        for b, (start, size) in enumerate(zip(offsets, sizes)):
+            expected = minkowski_center_columns(matrix[start : start + size], p)
+            np.testing.assert_allclose(blocks[b], expected, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(blocks[1], matrix[5])
+
+    @pytest.mark.parametrize("offsets", [[], [1, 3], [0, 3, 3], [0, 6]])
+    def test_bad_offsets_rejected(self, offsets):
+        with pytest.raises(ValueError):
+            minkowski_center_columns(np.zeros((6, 2)), 1.5, offsets=offsets)

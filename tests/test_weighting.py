@@ -43,6 +43,22 @@ class TestUpdateWeights:
         w = update_weights(np.array([[0.0, 0.0, 0.0, 0.0]]), 2.0)
         np.testing.assert_allclose(w, [[0.25, 0.25, 0.25, 0.25]])
 
+    def test_mixed_matrix_matches_per_row_expectations(self):
+        d = np.array([
+            [1.0, 4.0, 2.0],
+            [3.0, 0.0, 5.0],
+            [0.0, 7.0, 0.0],
+            [0.0, 0.0, 0.0],
+        ])
+        w = update_weights(d, 2.0)
+        expected = [
+            [4 / 7, 1 / 7, 2 / 7],
+            [0.0, 1.0, 0.0],
+            [0.5, 0.0, 0.5],
+            [1 / 3, 1 / 3, 1 / 3],
+        ]
+        np.testing.assert_allclose(w, expected, rtol=1e-12, atol=0)
+
     def test_negative_dispersion_rejected(self):
         with pytest.raises(NonpositiveDispersionError):
             update_weights(np.array([[-1.0, 1.0]]), 2.0)
