@@ -21,15 +21,9 @@ import numpy as np
 
 from . import verify as verify_mod
 from .core import MwkConfig
-from .data import SyntheticSpec, generate, load_csv, range_normalise, save_csv
+from .data import SyntheticSpec, generate, load_csv, range_normalise, save_csv, write_csv
 from .engine import run_restarts
-from .errors import (
-    BoundViolationError,
-    CsvParseError,
-    InvalidConfigError,
-    InvalidSpecError,
-    MwkError,
-)
+from .errors import CsvParseError, InvalidConfigError, InvalidSpecError, MwkError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -64,18 +58,34 @@ def _write_json(path, payload) -> None:
         fh.write("\n")
 
 
+def _spec(args, seed: int) -> SyntheticSpec:
+    return SyntheticSpec(
+        n_points=args.n_points,
+        n_informative=args.informative,
+        n_noise=args.noise,
+        k_true=args.clusters,
+        seed=seed,
+        cluster_std=args.cluster_std,
+        center_box=tuple(args.center_box),
+    )
+
+
+def _config(args, p: float, seed: int) -> MwkConfig:
+    return MwkConfig(
+        k=args.k,
+        p=p,
+        tol_objective=args.tol,
+        max_iter=args.max_iter,
+        seed=seed,
+        restarts=args.restarts,
+    )
+
+
 def cmd_cluster(args) -> int:
     dataset = load_csv(args.input, has_labels=args.has_labels)
     if args.normalise:
         dataset, _ = range_normalise(dataset)
-    config = MwkConfig(
-        k=args.k,
-        p=args.p,
-        tol_objective=args.tol,
-        max_iter=args.max_iter,
-        seed=args.seed,
-        restarts=args.restarts,
-    )
+    config = _config(args, args.p, args.seed)
     best, reports = run_restarts(dataset, config)
     payload = {
         "config": dataclasses.asdict(config),
@@ -87,15 +97,7 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    spec = SyntheticSpec(
-        n_points=args.n_points,
-        n_informative=args.informative,
-        n_noise=args.noise,
-        k_true=args.clusters,
-        seed=args.seed,
-        cluster_std=args.cluster_std,
-        center_box=(args.center_box[0], args.center_box[1]),
-    )
+    spec = _spec(args, args.seed)
     dataset, _ = generate(spec)
     save_csv(dataset, args.out)
     sidecar = dict(dataclasses.asdict(spec), center_box=list(spec.center_box))
@@ -103,77 +105,38 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _experiment_rows(args):
-    """Yields per-(dataset, p) results for the sweep, deterministically
-    ordered by (dataset, p, restart)."""
-    for d_idx in range(args.datasets):
-        spec = SyntheticSpec(
-            n_points=args.n_points,
-            n_informative=args.informative,
-            n_noise=args.noise,
-            k_true=args.clusters,
-            seed=args.seed + d_idx,
-            cluster_std=args.cluster_std,
-            center_box=(args.center_box[0], args.center_box[1]),
-        )
-        dataset, _ = generate(spec)
-        dataset, _ = range_normalise(dataset)
-        for p in args.p:
-            config = MwkConfig(
-                k=args.k,
-                p=p,
-                tol_objective=args.tol,
-                max_iter=args.max_iter,
-                seed=args.seed + 1000 * (d_idx + 1),
-                restarts=args.restarts,
-            )
-            best, reports = run_restarts(dataset, config)
-            yield d_idx, p, best, reports
-
-
 def cmd_experiment(args) -> int:
+    """Sweep datasets x exponents x restarts; every table is ordered by
+    (dataset, p, restart), so a fixed --seed gives the same bytes."""
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     weight_rows = []  # (dataset, p, cluster, rank, weight); cluster -1 = mean over clusters
     feature_rows = []  # (dataset, p, cluster, feature, weight), unsorted
     objective_rows = []  # (dataset, p, run, value)
-    norm_by_p: dict[float, list[float]] = {p: [] for p in args.p}
-    for d_idx, p, best, reports in _experiment_rows(args):
-        w = best.final_state.weights
-        for l in range(w.shape[0]):
-            for v in range(w.shape[1]):
-                feature_rows.append((d_idx, p, l, v, w[l, v]))
-        for l in range(w.shape[0]):
-            for rank, weight in enumerate(np.sort(w[l])[::-1]):
-                weight_rows.append((d_idx, p, l, rank, weight))
-        mean_sorted = np.sort(w, axis=1)[:, ::-1].mean(axis=0)
-        for rank, weight in enumerate(mean_sorted):
-            weight_rows.append((d_idx, p, -1, rank, weight))
-        for r_idx, report in enumerate(reports):
-            objective_rows.append((d_idx, p, r_idx, report.normalised_objective))
-            norm_by_p[p].append(report.normalised_objective)
+    for d_idx in range(args.datasets):
+        dataset, _ = generate(_spec(args, args.seed + d_idx))
+        dataset, _ = range_normalise(dataset)
+        for p in args.p:
+            config = _config(args, p, args.seed + 1000 * (d_idx + 1))
+            best, reports = run_restarts(dataset, config)
+            w = best.final_state.weights
+            ranked = np.sort(w, axis=1)[:, ::-1]
+            feature_rows += [(d_idx, p, l, v, w[l, v]) for l, v in np.ndindex(w.shape)]
+            weight_rows += [(d_idx, p, l, rank, ranked[l, rank]) for l, rank in np.ndindex(w.shape)]
+            weight_rows += [(d_idx, p, -1, rank, x) for rank, x in enumerate(ranked.mean(axis=0))]
+            objective_rows += [(d_idx, p, i, r.normalised_objective) for i, r in enumerate(reports)]
 
-    with open(out_dir / "sorted_weights.csv", "w") as fh:
-        fh.write("dataset,p,cluster,rank,weight\n")
-        for d_idx, p, cluster, rank, weight in weight_rows:
-            fh.write(f"{d_idx},{p:.17g},{cluster},{rank},{weight:.17g}\n")
-    with open(out_dir / "feature_weights.csv", "w") as fh:
-        fh.write("dataset,p,cluster,feature,weight\n")
-        for d_idx, p, cluster, feature, weight in feature_rows:
-            fh.write(f"{d_idx},{p:.17g},{cluster},{feature},{weight:.17g}\n")
-    with open(out_dir / "normalised_objective.csv", "w") as fh:
-        fh.write("dataset,p,run,value\n")
-        for d_idx, p, r_idx, value in objective_rows:
-            fh.write(f"{d_idx},{p:.17g},{r_idx},{value:.17g}\n")
+    write_csv(out_dir / "sorted_weights.csv", ["dataset", "p", "cluster", "rank", "weight"], weight_rows)
+    write_csv(out_dir / "feature_weights.csv", ["dataset", "p", "cluster", "feature", "weight"], feature_rows)
+    write_csv(out_dir / "normalised_objective.csv", ["dataset", "p", "run", "value"], objective_rows)
+    means = {p: np.mean([value for _, q, _, value in objective_rows if q == p]) for p in args.p}
     summary = {
         "n_datasets": args.datasets,
         "restarts": args.restarts,
         "k": args.k,
         "p_values": list(args.p),
         "seed": args.seed,
-        "mean_normalised_objective": {
-            f"{p:.17g}": float(np.mean(values)) for p, values in norm_by_p.items()
-        },
+        "mean_normalised_objective": {f"{p:.17g}": float(mean) for p, mean in means.items()},
     }
     _write_json(out_dir / "summary.json", summary)
     return EXIT_OK
@@ -203,6 +166,12 @@ def _add_generate_flags(sub):
     sub.add_argument("--seed", type=int, default=0)
 
 
+def _add_run_flags(sub):
+    sub.add_argument("--restarts", type=int, default=20)
+    sub.add_argument("--tol", type=float, default=MwkConfig.tol_objective)
+    sub.add_argument("--max-iter", type=int, default=MwkConfig.max_iter)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="mwk", description="Minkowski weighted k-means")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -211,10 +180,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cluster.add_argument("--input", required=True)
     p_cluster.add_argument("--k", type=int, required=True)
     p_cluster.add_argument("--p", type=float, default=2.0)
-    p_cluster.add_argument("--seed", type=int, default=0)
-    p_cluster.add_argument("--restarts", type=int, default=20)
-    p_cluster.add_argument("--tol", type=float, default=1e-6)
-    p_cluster.add_argument("--max-iter", type=int, default=100)
+    p_cluster.add_argument("--seed", type=int, default=MwkConfig.seed)
+    _add_run_flags(p_cluster)
     p_cluster.add_argument("--out", required=True)
     p_cluster.add_argument("--has-labels", action="store_true", help="last CSV column is a label")
     p_cluster.add_argument("--normalise", action="store_true", help="range-normalise before clustering")
@@ -230,9 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--datasets", type=int, default=10)
     p_exp.add_argument("--p", type=float, nargs="+", default=DEFAULT_P_VALUES)
     p_exp.add_argument("--k", type=int, default=3)
-    p_exp.add_argument("--restarts", type=int, default=20)
-    p_exp.add_argument("--tol", type=float, default=1e-6)
-    p_exp.add_argument("--max-iter", type=int, default=100)
+    _add_run_flags(p_exp)
     p_exp.add_argument("--out-dir", required=True)
     p_exp.set_defaults(func=cmd_experiment)
 
@@ -258,10 +223,7 @@ def main(argv=None) -> int:
     except (CsvParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (BoundViolationError, FloatingPointError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except MwkError as exc:
+    except (MwkError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -2,8 +2,8 @@
 
 All matrices are float64 numpy arrays, indexed 0-based: rows are points
 or clusters, columns are features. Objects are frozen after construction
-and their arrays are marked read-only, so they can be shared across
-concurrent restarts without copying.
+and hold read-only copies of the arrays they are given, so they can be
+shared across concurrent restarts and never freeze the caller's arrays.
 """
 from __future__ import annotations
 
@@ -13,6 +13,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import (
+    DimensionMismatchError,
     EmptyMatrixError,
     InvalidConfigError,
     NonFiniteError,
@@ -25,7 +26,8 @@ P_MARGIN = 1e-9
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
+    """A read-only, C-contiguous copy of a; the caller's array stays writable."""
+    a = np.array(a, order="C")
     a.setflags(write=False)
     return a
 
@@ -35,9 +37,9 @@ class Dataset:
     """An n x m matrix of finite feature values.
 
     Labels, when present, are carried for external evaluation only and
-    are never consulted by the algorithm. Construction rejects malformed
-    input with EmptyMatrixError, RaggedRowsError, or NonFiniteError
-    naming the first offending cell in row-major order.
+    are never consulted by the algorithm. Construction is the one place
+    that rejects malformed input: with EmptyMatrixError, RaggedRowsError,
+    or NonFiniteError naming the first offending cell in row-major order.
     """
 
     values: np.ndarray
@@ -45,7 +47,13 @@ class Dataset:
     labels: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
+        try:
+            values = np.asarray(self.values, dtype=float)
+        except ValueError:
+            shapes = {np.shape(row) for row in self.values}
+            if len(shapes) > 1:
+                raise RaggedRowsError(f"rows have differing shapes: {sorted(shapes)}") from None
+            raise
         if values.size == 0:
             raise EmptyMatrixError("dataset must contain at least one row and one column")
         if values.ndim != 2:
@@ -78,17 +86,9 @@ def validate_dataset(
     feature_names: Optional[Sequence[str]] = None,
     labels=None,
 ) -> Dataset:
-    """Build a Dataset from a raw matrix or a sequence of rows, rejecting
-    ragged rows here and every other malformed input in Dataset.
-
-    The values are copied, so the caller's array stays writable.
-    """
-    if not isinstance(values, np.ndarray):
-        values = list(values)
-        lengths = {len(r) for r in values}
-        if len(lengths) > 1:
-            raise RaggedRowsError(f"rows have differing lengths: {sorted(lengths)}")
-    return Dataset(values=np.array(values, dtype=float), feature_names=feature_names, labels=labels)
+    """Build a Dataset from a raw matrix or a sequence of rows; Dataset
+    copies the input and rejects it when malformed."""
+    return Dataset(values=values, feature_names=feature_names, labels=labels)
 
 
 @dataclass(frozen=True)
@@ -162,6 +162,22 @@ class DispersionMatrix:
         return self.d.shape[1]
 
 
+def check_assignments(assignments, k: int, n: int) -> np.ndarray:
+    """The assignments as an array, or DimensionMismatchError if there is
+    not exactly one per point, or naming the first point whose cluster
+    index lies outside [0, k)."""
+    assignments = np.asarray(assignments)
+    if assignments.shape != (n,):
+        raise DimensionMismatchError(f"expected {n} assignments, got shape {assignments.shape}")
+    outside = (assignments < 0) | (assignments >= k)
+    if outside.any():
+        i = int(np.flatnonzero(outside)[0])
+        raise DimensionMismatchError(
+            f"point {i} is assigned to cluster {assignments[i]}, outside [0, {k})"
+        )
+    return assignments
+
+
 def compute_dispersions(
     values: np.ndarray, assignments: np.ndarray, centroids: np.ndarray, p: float
 ) -> DispersionMatrix:
@@ -172,7 +188,7 @@ def compute_dispersions(
     """
     values = np.asarray(values, dtype=float)
     centroids = np.asarray(centroids, dtype=float)
-    assignments = np.asarray(assignments)
+    assignments = check_assignments(assignments, centroids.shape[0], values.shape[0])
     members = np.arange(centroids.shape[0])[:, None] == assignments
     return DispersionMatrix(d=members @ np.abs(values - centroids[assignments]) ** p)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, validate_dataset
+from .core import Dataset
 from .errors import ConstantFeatureError, CsvParseError, InvalidSpecError
 
 
@@ -65,7 +65,7 @@ def generate(spec: SyntheticSpec) -> tuple[Dataset, np.ndarray]:
     names = [f"f{v}" for v in range(spec.n_informative)] + [
         f"noise{v}" for v in range(spec.n_noise)
     ]
-    return validate_dataset(values, feature_names=names, labels=labels), centers
+    return Dataset(values=values, feature_names=names, labels=labels), centers
 
 
 def range_normalise(dataset: Dataset) -> tuple[Dataset, list[dict]]:
@@ -92,22 +92,30 @@ def range_normalise(dataset: Dataset) -> tuple[Dataset, list[dict]]:
 LABEL_COLUMN = "label"
 
 
-def save_csv(dataset: Dataset, path) -> None:
-    """Write the dataset as comma-separated values with 17 significant
-    digits (enough for an exact float round trip). Feature names become
-    a header row; labels become a trailing column."""
+def write_csv(path, header, rows) -> None:
+    """Write one CSV table: the header row (if not None), then the rows.
+    Float cells get 17 significant digits (enough for an exact round
+    trip); every other cell is written with str."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        if dataset.feature_names is not None:
-            header = list(dataset.feature_names)
-            if dataset.labels is not None:
-                header.append(LABEL_COLUMN)
+        if header is not None:
             writer.writerow(header)
-        for i, row in enumerate(dataset.values):
-            cells = [f"{v:.17g}" for v in row]
-            if dataset.labels is not None:
-                cells.append(str(dataset.labels[i]))
-            writer.writerow(cells)
+        writer.writerows(
+            [format(c, ".17g") if isinstance(c, float) else str(c) for c in row] for row in rows
+        )
+
+
+def save_csv(dataset: Dataset, path) -> None:
+    """Write the dataset with write_csv. Feature names become a header
+    row (none when the dataset has no names); labels, written verbatim,
+    become a trailing column."""
+    header = None if dataset.feature_names is None else list(dataset.feature_names)
+    rows = dataset.values.tolist()
+    if dataset.labels is not None:
+        if header is not None:
+            header.append(LABEL_COLUMN)
+        rows = [[*row, label] for row, label in zip(rows, dataset.labels.astype(str))]
+    write_csv(path, header, rows)
 
 
 def _is_number(token: str) -> bool:
@@ -118,11 +126,23 @@ def _is_number(token: str) -> bool:
         return False
 
 
+def _raise_first_bad_cell(rows, width: int, n_data: int, first_line: int) -> None:
+    """Raise CsvParseError at the first malformed cell in file order: a
+    row of the wrong width, or a data cell that float() rejects."""
+    for line, row in enumerate(rows, start=first_line):
+        if len(row) != width:
+            raise CsvParseError(line, 0, f"expected {width} cells, got {len(row)}")
+        for col, tok in enumerate(row[:n_data]):
+            if not _is_number(tok):
+                raise CsvParseError(line, col, f"not a number: {tok!r}")
+
+
 def load_csv(path, has_labels: bool = False) -> Dataset:
     """Read a dataset written by save_csv (or any numeric CSV).
 
     A first row with any non-numeric cell is treated as a header. With
-    has_labels=True the last column is split off as labels.
+    has_labels=True the last column is split off as labels: integers
+    when every label parses as one, otherwise the label strings.
     """
     with open(path, newline="") as fh:
         rows = [row for row in csv.reader(fh) if row]
@@ -135,25 +155,22 @@ def load_csv(path, has_labels: bool = False) -> Dataset:
         if not rows:
             raise CsvParseError(2, 0, "header without data rows")
     width = len(rows[0])
-    values = np.empty((len(rows), width - (1 if has_labels else 0)))
-    labels = [] if has_labels else None
-    offset = 2 if header is not None else 1
-    for i, row in enumerate(rows):
-        if len(row) != width:
-            raise CsvParseError(i + offset, 0, f"expected {width} cells, got {len(row)}")
-        data_cells = row[:-1] if has_labels else row
-        for j, tok in enumerate(data_cells):
-            try:
-                values[i, j] = float(tok)
-            except ValueError:
-                raise CsvParseError(i + offset, j, f"not a number: {tok!r}") from None
-        if has_labels:
-            tok = row[-1]
-            try:
-                labels.append(int(tok))
-            except ValueError:
-                labels.append(tok)
-    names = None
-    if header is not None:
-        names = header[:-1] if has_labels else header
-    return validate_dataset(values, feature_names=names, labels=np.asarray(labels) if has_labels else None)
+    n_data = width - 1 if has_labels else width
+    # row[:-1] keeps a row of the wrong width ragged, so numpy rejects it
+    cells = [row[:-1] for row in rows] if has_labels else rows
+    try:
+        # numpy converts each str with float() itself, so it accepts and
+        # rejects exactly the tokens float() does
+        values = np.array(cells, dtype=float)
+    except ValueError:
+        _raise_first_bad_cell(rows, width, n_data, 2 if header is not None else 1)
+        raise
+    labels = None
+    if has_labels:
+        tokens = [row[-1] for row in rows]
+        try:
+            labels = np.array(tokens, dtype=int)
+        except (ValueError, OverflowError):
+            labels = np.array(tokens)
+    names = header[:n_data] if header is not None else None
+    return Dataset(values=values, feature_names=names, labels=labels)

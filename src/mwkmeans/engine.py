@@ -26,6 +26,7 @@ from .core import (
     DispersionMatrix,
     MwkConfig,
     RunReport,
+    check_assignments,
     compute_dispersions,
 )
 from .errors import EmptyClusterError, InvalidConfigError
@@ -70,11 +71,12 @@ def update_centroids(dataset, assignments, k: int, p: float, center_tol: float) 
     """Per-cluster, per-feature Minkowski centres, all solved in one pass
     over the points sorted by cluster.
 
-    Raises EmptyClusterError if any cluster has no members; the caller
-    must repair empties before updating centroids.
+    Raises DimensionMismatchError unless there is one assignment in
+    [0, k) per point, and EmptyClusterError if any cluster has no
+    members; the caller must repair empties before updating centroids.
     """
     x = _values(dataset)
-    assignments = np.asarray(assignments)
+    assignments = check_assignments(assignments, k, x.shape[0])
     counts = np.bincount(assignments, minlength=k)
     if (counts == 0).any():
         raise EmptyClusterError(int(np.flatnonzero(counts == 0)[0]))

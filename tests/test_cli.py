@@ -52,6 +52,14 @@ class TestCluster:
         ])
         assert code == 3
 
+    def test_malformed_csv_is_io_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_text("1.0,2.0\n3.0,oops\n5.0,6.0\n")
+        code = main(["cluster", "--input", str(path), "--k", "2", "--out", str(tmp_path / "r.json")])
+        assert code == 3
+        assert "line 2, column 1" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
 
 class TestGenerate:
     def test_reference_defaults(self, tmp_path):

@@ -4,12 +4,14 @@ import pytest
 from mwkmeans import (
     ClusteringState,
     Dataset,
+    DispersionMatrix,
     MwkConfig,
     compute_dispersions,
     run,
     validate_dataset,
 )
 from mwkmeans.errors import (
+    DimensionMismatchError,
     EmptyMatrixError,
     InvalidConfigError,
     NonFiniteError,
@@ -64,6 +66,19 @@ class TestValidateDataset:
         with pytest.raises(ValueError):
             d.values[0, 0] = 5.0
 
+    def test_direct_construction_leaves_caller_arrays_writable(self):
+        x = np.array([[1.0, 2.0], [3.0, 4.0]])
+        y = np.array([0, 1])
+        d = Dataset(values=x, labels=y)
+        assert x.flags.writeable and y.flags.writeable
+        x[0, 0] = 9.0
+        y[0] = 7
+        assert d.values[0, 0] == 1.0 and d.labels[0] == 0
+
+    def test_directly_built_dataset_rejects_ragged_rows(self):
+        with pytest.raises(RaggedRowsError):
+            Dataset(values=[[1.0, 2.0], [3.0]])
+
 
 class TestMwkConfig:
     def test_rejects_p_at_one(self):
@@ -114,6 +129,18 @@ class TestDispersions:
         d = compute_dispersions(x, np.array([0, 0, 2]), centroids, 2.0).d
         np.testing.assert_array_equal(d, [[2.0, 8.0], [0.0, 0.0], [0.0, 1.0]])
 
+    @pytest.mark.parametrize("bad", [-1, 2, 5])
+    def test_assignment_outside_range_is_named(self, bad):
+        x = np.array([[0.0, 1.0], [2.0, 5.0], [4.0, 3.0]])
+        centroids = np.array([[1.0, 3.0], [4.0, 4.0]])
+        with pytest.raises(DimensionMismatchError, match=rf"point 2 .* {bad}\b"):
+            compute_dispersions(x, np.array([0, 1, bad]), centroids, 2.0)
+
+    def test_one_assignment_per_point_required(self):
+        x = np.array([[0.0], [10.0], [20.0]])
+        with pytest.raises(DimensionMismatchError, match="expected 3 assignments"):
+            compute_dispersions(x, np.array([0, 1]), np.array([[0.0], [10.0]]), 2.0)
+
 
 class TestStateInvariants:
     @pytest.mark.parametrize("p", [1.1, 1.5, 2.0, 5.0])
@@ -142,3 +169,10 @@ class TestStateInvariants:
         )
         with pytest.raises(ValueError):
             state.weights[0, 0] = 0.5
+
+    def test_state_leaves_caller_arrays_writable(self):
+        assignments, centroids, weights = np.array([0, 1]), np.zeros((2, 1)), np.ones((2, 1))
+        d = np.ones((2, 1))
+        ClusteringState(assignments=assignments, centroids=centroids, weights=weights, objective=0.0)
+        DispersionMatrix(d=d)
+        assert all(a.flags.writeable for a in (assignments, centroids, weights, d))

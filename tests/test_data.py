@@ -11,7 +11,7 @@ from mwkmeans import (
     save_csv,
     validate_dataset,
 )
-from mwkmeans.errors import ConstantFeatureError, CsvParseError, InvalidSpecError
+from mwkmeans.errors import ConstantFeatureError, CsvParseError, InvalidSpecError, NonFiniteError
 
 
 class TestSyntheticSpec:
@@ -128,3 +128,84 @@ class TestCsvRoundTrip:
         path.write_text("")
         with pytest.raises(CsvParseError):
             load_csv(path)
+
+
+def _parse_error(tmp_path, text, **kwargs):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(CsvParseError) as exc:
+        load_csv(path, **kwargs)
+    return exc.value.line, exc.value.col, str(exc.value)
+
+
+class TestCsvParsing:
+    def test_ragged_row_located_without_header(self, tmp_path):
+        line, col, message = _parse_error(tmp_path, "1,2\n3,4\n5\n")
+        assert (line, col) == (3, 0)
+        assert message == "line 3, column 0: expected 2 cells, got 1"
+
+    def test_ragged_row_located_after_header(self, tmp_path):
+        line, col, _ = _parse_error(tmp_path, "a,b\n1,2\n3,4,5\n")
+        assert (line, col) == (3, 0)
+
+    def test_ragged_row_located_with_labels(self, tmp_path):
+        assert _parse_error(tmp_path, "1,2,0\n3,4,5,1\n", has_labels=True)[:2] == (2, 0)
+        assert _parse_error(tmp_path, "x,label\n1,0\n3\n", has_labels=True)[:2] == (3, 0)
+        assert _parse_error(tmp_path, "1,2,0\n3,4\n", has_labels=True)[:2] == (2, 0)
+
+    def test_bad_token_after_header_is_on_line_three(self, tmp_path):
+        line, col, message = _parse_error(tmp_path, "a,b\n1,2\n3,x\n")
+        assert (line, col) == (3, 1)
+        assert message == "line 3, column 1: not a number: 'x'"
+
+    def test_first_malformed_cell_in_file_order_wins(self, tmp_path):
+        assert _parse_error(tmp_path, "1,2\n1,x\n3,4\n5\n")[:2] == (2, 1)
+        assert _parse_error(tmp_path, "1,2\n3\n1,x\n")[:2] == (2, 0)
+        assert _parse_error(tmp_path, "1,2,0\ny,x,0\n", has_labels=True)[:2] == (2, 0)
+
+    def test_label_cell_is_never_parsed_as_a_number(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("x,y,label\n1,2,a\n3,4,b\n")
+        loaded = load_csv(path, has_labels=True)
+        np.testing.assert_array_equal(loaded.values, [[1.0, 2.0], [3.0, 4.0]])
+        assert loaded.labels.tolist() == ["a", "b"]
+        assert loaded.feature_names == ("x", "y")
+
+    def test_string_labels_survive_a_round_trip(self, tmp_path):
+        d = validate_dataset([[1.0], [2.0], [3.0]], feature_names=["x"], labels=["cat", "dog", "cat"])
+        path = tmp_path / "d.csv"
+        save_csv(d, path)
+        assert load_csv(path, has_labels=True).labels.tolist() == ["cat", "dog", "cat"]
+
+    @pytest.mark.parametrize("token", [" 1.5 ", "1_000", "Infinity", "\u0661", "0x10", "", "1d5", "1__0", "-1e3"])
+    def test_tokens_accepted_exactly_as_float_does(self, tmp_path, token):
+        path = tmp_path / "d.csv"
+        path.write_text(f"0,1\n0,{token}\n")
+        try:
+            expected = float(token)
+        except ValueError:
+            expected = None
+        if expected is None:
+            with pytest.raises(CsvParseError) as exc:
+                load_csv(path)
+            assert (exc.value.line, exc.value.col) == (2, 1)
+        elif not np.isfinite(expected):
+            with pytest.raises(NonFiniteError) as exc:
+                load_csv(path)
+            assert (exc.value.row, exc.value.col) == (1, 1)
+        else:
+            assert load_csv(path).values.tolist() == [[0.0, 1.0], [0.0, expected]]
+
+    def test_nan_cell_is_non_finite(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("a,b\n1,2\n3,nan\n")
+        with pytest.raises(NonFiniteError) as exc:
+            load_csv(path)
+        assert (exc.value.row, exc.value.col) == (1, 1)
+
+    def test_feature_name_with_comma_round_trips(self, tmp_path):
+        d = validate_dataset([[1.0, 2.0]], feature_names=["height, cm", "w"])
+        path = tmp_path / "d.csv"
+        save_csv(d, path)
+        assert path.read_text().splitlines()[0] == '"height, cm",w'
+        assert load_csv(path).feature_names == ("height, cm", "w")

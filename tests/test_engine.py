@@ -17,7 +17,7 @@ from mwkmeans import (
     validate_dataset,
 )
 from mwkmeans.engine import EngineEvent
-from mwkmeans.errors import EmptyClusterError, InvalidConfigError
+from mwkmeans.errors import DimensionMismatchError, EmptyClusterError, InvalidConfigError
 
 
 class TestAssignPoints:
@@ -59,6 +59,17 @@ class TestUpdateCentroids:
         x = np.array([[0.0], [1.0]])
         with pytest.raises(EmptyClusterError):
             update_centroids(x, np.array([0, 0]), 2, 2.0, 1e-10)
+
+    @pytest.mark.parametrize("bad", [-1, 2, 5])
+    def test_assignment_outside_range_is_named(self, bad):
+        x = np.array([[0.0], [1.0], [2.0], [3.0]])
+        with pytest.raises(DimensionMismatchError, match=rf"point 1 .* {bad}\b"):
+            update_centroids(x, np.array([0, bad, 1, bad]), 2, 2.0, 1e-10)
+
+    def test_one_assignment_per_point_required(self):
+        x = np.array([[0.0], [10.0], [20.0]])
+        with pytest.raises(DimensionMismatchError, match="expected 3 assignments"):
+            update_centroids(x, np.array([0, 1]), 2, 2.0, 1e-10)
 
 
 class TestRun:
