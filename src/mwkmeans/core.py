@@ -17,6 +17,7 @@ from .errors import (
     EmptyMatrixError,
     InvalidConfigError,
     NonFiniteError,
+    NonNumericError,
     RaggedRowsError,
 )
 
@@ -39,7 +40,8 @@ class Dataset:
     Labels, when present, are carried for external evaluation only and
     are never consulted by the algorithm. Construction is the one place
     that rejects malformed input: with EmptyMatrixError, RaggedRowsError,
-    or NonFiniteError naming the first offending cell in row-major order.
+    or NonNumericError or NonFiniteError naming the first offending cell
+    in row-major order.
     """
 
     values: np.ndarray
@@ -49,10 +51,16 @@ class Dataset:
     def __post_init__(self):
         try:
             values = np.asarray(self.values, dtype=float)
-        except ValueError:
+        except (TypeError, ValueError):
             shapes = {np.shape(row) for row in self.values}
             if len(shapes) > 1:
                 raise RaggedRowsError(f"rows have differing shapes: {sorted(shapes)}") from None
+            cells = np.asarray(self.values, dtype=object)
+            for index in np.ndindex(cells.shape):
+                try:
+                    float(cells[index])
+                except (TypeError, ValueError):
+                    raise NonNumericError(index[0], index[1] if len(index) > 1 else 0) from None
             raise
         if values.size == 0:
             raise EmptyMatrixError("dataset must contain at least one row and one column")

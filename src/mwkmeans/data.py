@@ -140,16 +140,17 @@ def _raise_first_bad_cell(rows, width: int, n_data: int, first_line: int) -> Non
 def load_csv(path, has_labels: bool = False) -> Dataset:
     """Read a dataset written by save_csv (or any numeric CSV).
 
-    A first row with any non-numeric cell is treated as a header. With
-    has_labels=True the last column is split off as labels: integers
-    when every label parses as one, otherwise the label strings.
+    A first row with any non-numeric feature cell is treated as a
+    header. With has_labels=True the last column is split off as labels:
+    integers when every label parses as one, otherwise the label strings;
+    a label cell never makes a row a header.
     """
     with open(path, newline="") as fh:
         rows = [row for row in csv.reader(fh) if row]
     if not rows:
         raise CsvParseError(1, 0, "file is empty")
     header = None
-    if any(not _is_number(tok) for tok in rows[0]):
+    if any(not _is_number(tok) for tok in (rows[0][:-1] if has_labels else rows[0])):
         header = rows[0]
         rows = rows[1:]
         if not rows:

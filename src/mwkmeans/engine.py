@@ -67,9 +67,12 @@ def assign_points(dataset, centroids, weights, p: float) -> np.ndarray:
     return np.argmin(dists, axis=1)
 
 
-def update_centroids(dataset, assignments, k: int, p: float, center_tol: float) -> np.ndarray:
+def update_centroids(
+    dataset, assignments, k: int, p: float, center_tol: float, start=None
+) -> np.ndarray:
     """Per-cluster, per-feature Minkowski centres, all solved in one pass
-    over the points sorted by cluster.
+    over the points sorted by cluster. start (k x m), typically the
+    previous centroids, warm-starts the solver.
 
     Raises DimensionMismatchError unless there is one assignment in
     [0, k) per point, and EmptyClusterError if any cluster has no
@@ -83,7 +86,7 @@ def update_centroids(dataset, assignments, k: int, p: float, center_tol: float) 
     # stable, so each cluster keeps its points in data order
     order = np.argsort(assignments, kind="stable")
     offsets = np.cumsum(counts) - counts
-    return minkowski_center_columns(x[order], p, center_tol, offsets)
+    return minkowski_center_columns(x[order], p, center_tol, offsets, start)
 
 
 def _repair_empty(x, assignments, centroids, weights, p, k) -> int:
@@ -137,9 +140,13 @@ def _alternate(
         assignments = assign_points(x, centroids, weights, p)
         n_reassigned = n if prev_assign is None else int(np.sum(assignments != prev_assign))
         repairs = _repair_empty(x, assignments, centroids, weights, p, k)
-        centroids = update_centroids(x, assignments, k, p, config.center_tol)
-        dispersions = compute_dispersions(x, assignments, centroids, p)
-        weights = weight_step(dispersions, p)
+        # the same assignments as last time give the same centres,
+        # dispersions and weights, so they are kept
+        settled = prev_assign is not None and n_reassigned == 0 and repairs == 0
+        if not settled:
+            centroids = update_centroids(x, assignments, k, p, config.center_tol, centroids)
+            dispersions = compute_dispersions(x, assignments, centroids, p)
+            weights = weight_step(dispersions, p)
         objective = _objective(weights, dispersions, p)
         trace.append(objective)
         if repairs:
@@ -147,7 +154,7 @@ def _alternate(
         if observer is not None:
             observer(EngineEvent(it, objective, n_reassigned, repairs))
         prev_assign = assignments
-        if repairs == 0 and n_reassigned == 0 and len(trace) > 1:
+        if settled:
             converged = True
             break
         if len(trace) > 1:

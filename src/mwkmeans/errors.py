@@ -20,6 +20,13 @@ class NonFiniteError(MwkError):
         self.col = col
 
 
+class NonNumericError(MwkError):
+    def __init__(self, row: int, col: int):
+        super().__init__(f"non-numeric value at ({row}, {col})")
+        self.row = row
+        self.col = col
+
+
 class DimensionMismatchError(MwkError):
     pass
 

@@ -15,6 +15,7 @@ from mwkmeans.errors import (
     EmptyMatrixError,
     InvalidConfigError,
     NonFiniteError,
+    NonNumericError,
     RaggedRowsError,
 )
 
@@ -78,6 +79,14 @@ class TestValidateDataset:
     def test_directly_built_dataset_rejects_ragged_rows(self):
         with pytest.raises(RaggedRowsError):
             Dataset(values=[[1.0, 2.0], [3.0]])
+
+    @pytest.mark.parametrize(
+        "values, cell", [([["a"]], (0, 0)), ([[1.0, 2.0], [3.0, "x"]], (1, 1)), ([[1.0, {}]], (0, 1))]
+    )
+    def test_non_numeric_cell_named(self, values, cell):
+        with pytest.raises(NonNumericError) as exc:
+            Dataset(values=values)
+        assert (exc.value.row, exc.value.col) == cell
 
 
 class TestMwkConfig:

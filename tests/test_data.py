@@ -116,6 +116,14 @@ class TestCsvRoundTrip:
         np.testing.assert_array_equal(loaded.labels, [0, 1])
         assert loaded.m == 1
 
+    def test_string_labels_do_not_make_a_header(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("1,2,a\n3,4,b\n")
+        loaded = load_csv(path, has_labels=True)
+        np.testing.assert_array_equal(loaded.values, [[1.0, 2.0], [3.0, 4.0]])
+        np.testing.assert_array_equal(loaded.labels, ["a", "b"])
+        assert loaded.feature_names is None
+
     def test_non_numeric_cell_located(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("1.0,2.0\n3.0,oops\n")

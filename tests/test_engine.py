@@ -16,6 +16,7 @@ from mwkmeans import (
     update_weights,
     validate_dataset,
 )
+from mwkmeans import engine
 from mwkmeans.engine import EngineEvent
 from mwkmeans.errors import DimensionMismatchError, EmptyClusterError, InvalidConfigError
 
@@ -147,6 +148,27 @@ class TestRun:
             eps = 1e-9 * upper
             assert lower - eps <= report.final_state.objective <= upper + eps
             assert 0.0 <= report.normalised_objective <= 1.0
+
+
+    def test_settled_iteration_reuses_its_centres(self, monkeypatch):
+        """An iteration that reassigns and repairs nothing keeps the last
+        centres, dispersions and weights: no centre solve, the same
+        objective, and still one trace entry."""
+        x, _ = two_blob_dataset(n_per_blob=30, separation=8.0, seed=2)
+        config = MwkConfig(k=2, p=1.5, tol_objective=0.0, seed=0)
+        solves = []
+
+        def counting(*args, **kwargs):
+            solves.append(1)
+            return update_centroids(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "update_centroids", counting)
+        events = []
+        report = run(validate_dataset(x), config, observer=events.append)
+        assert report.converged and events[-1].n_reassigned == 0
+        assert len(solves) == report.iterations - 1
+        assert len(report.objective_trace) == report.iterations == len(events)
+        assert report.objective_trace[-1] == report.objective_trace[-2]
 
 
 class TestStepOptimality:

@@ -8,8 +8,8 @@ from mwkmeans import (
     minkowski_center,
     weighted_minkowski_distance,
 )
-from mwkmeans.errors import DimensionMismatchError
-from mwkmeans.geometry import minkowski_center_columns
+from mwkmeans.errors import DimensionMismatchError, InvalidConfigError, NonFiniteError
+from mwkmeans.geometry import DEFAULT_CENTER_TOL, minkowski_center_columns
 
 
 class TestWeightedMinkowskiDistance:
@@ -135,3 +135,46 @@ class TestCenterColumns:
     def test_bad_offsets_rejected(self, offsets):
         with pytest.raises(ValueError):
             minkowski_center_columns(np.zeros((6, 2)), 1.5, offsets=offsets)
+
+
+class TestSolverRobustness:
+    @pytest.mark.parametrize("p", [120.0, 400.0])
+    def test_large_p_on_a_narrow_column(self, p):
+        # |d|^(p-1) underflowed to 0 on the raw scale: 9.2e-5 and 3e-11
+        r = minkowski_center([0.0, 1e-3, 2e-3], p)
+        assert abs(r.z - 1e-3) <= 1e-10
+        assert r.bracket_width <= 1e-10
+
+    def test_huge_values_terminate(self):
+        # inf - inf = NaN on the raw scale, and the loop spun forever
+        r = minkowski_center([0.0, 1e200, 2e200], 3.0)
+        assert r.z == pytest.approx(1e200, rel=1e-12)
+
+    @pytest.mark.parametrize("p", [1.0, 0.5, 1024.0, float("nan"), float("inf")])
+    def test_exponent_outside_solver_range_rejected(self, p):
+        with pytest.raises(InvalidConfigError):
+            minkowski_center([0.0, 1.0, 3.0], p)
+
+    def test_non_finite_sample_named(self):
+        with pytest.raises(NonFiniteError) as exc:
+            minkowski_center_columns(np.array([[0.0, 1.0], [np.nan, 2.0]]), 1.5)
+        assert (exc.value.row, exc.value.col) == (1, 0)
+
+    @pytest.mark.parametrize("p", [1.5, 5.0])
+    def test_cold_solve_needs_few_passes(self, p):
+        # one cluster of the reference protocol is about 333 points
+        samples = np.random.default_rng(13).normal(size=333)
+        r = minkowski_center(samples, p)
+        assert r.iterations <= 12
+        assert r.bracket_width <= DEFAULT_CENTER_TOL
+
+    @pytest.mark.parametrize("p", [1.1, 1.5, 5.0])
+    @pytest.mark.parametrize("start", [-50.0, -0.3, 0.2, 7.0])
+    def test_result_does_not_depend_on_start(self, p, start):
+        column = np.random.default_rng(14).uniform(-1.0, 1.0, (40, 1))
+        warm = minkowski_center_columns(column, p, start=[start])
+        assert warm == minkowski_center_columns(column, p)
+
+    def test_start_shape_checked(self):
+        with pytest.raises(DimensionMismatchError):
+            minkowski_center_columns(np.zeros((4, 2)), 1.5, start=np.zeros(3))
