@@ -20,9 +20,10 @@ from .errors import (
     NonNumericError,
     RaggedRowsError,
 )
+from .geometry import _MAX_P, _abs_pow
 
 # Exponents p <= 1 + P_MARGIN are rejected: the weight update divides by
-# p - 1 and the centre loses uniqueness at p = 1.
+# p - 1 and the centre loses uniqueness at p = 1. So is p > geometry._MAX_P.
 P_MARGIN = 1e-9
 
 
@@ -114,10 +115,10 @@ class MwkConfig:
     def __post_init__(self):
         if self.k < 1:
             raise InvalidConfigError(f"k must be >= 1, got {self.k}")
-        if not self.p > 1.0 + P_MARGIN:
+        if not 1.0 + P_MARGIN < self.p <= _MAX_P:
             raise InvalidConfigError(
-                f"p must exceed 1 (got p={self.p}); the weight update and the "
-                f"unique Minkowski centre both require p > 1"
+                f"p must exceed 1 and be at most {_MAX_P:g} (got p={self.p}); the weight update"
+                f" and the unique centre need p > 1, the centre solver's float range p <= {_MAX_P:g}"
             )
         if self.tol_objective < 0:
             raise InvalidConfigError("tol_objective must be nonnegative")
@@ -198,7 +199,8 @@ def compute_dispersions(
     centroids = np.asarray(centroids, dtype=float)
     assignments = check_assignments(assignments, centroids.shape[0], values.shape[0])
     members = np.arange(centroids.shape[0])[:, None] == assignments
-    return DispersionMatrix(d=members @ np.abs(values - centroids[assignments]) ** p)
+    dev = centroids[assignments]  # a fresh array, so the powers go in place
+    return DispersionMatrix(d=members @ _abs_pow(np.subtract(values, dev, out=dev), p, out=dev))
 
 
 @dataclass(frozen=True)

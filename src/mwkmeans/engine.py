@@ -8,8 +8,9 @@ weighted distance) from its assigned centroid; such iterations may raise
 the objective and are reported separately.
 
 There is one loop. The centre step solves all k x m centres in one call;
-the dispersion step is one matrix product. Lloyd's k-means baseline is
-the same loop at p = 2 with every weight frozen at 1.
+the dispersion step is one matrix product. Every |x - z|^p, here and in
+the dispersions, is geometry._abs_pow, computed in place. Lloyd's
+k-means baseline is the same loop at p = 2 with every weight frozen at 1.
 """
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ from .core import (
     compute_dispersions,
 )
 from .errors import EmptyClusterError, InvalidConfigError
-from .geometry import minkowski_center_columns
+from .geometry import _abs_pow, minkowski_center_columns
 from .weighting import update_weights
 
 
@@ -58,13 +59,12 @@ def assign_points(dataset, centroids, weights, p: float) -> np.ndarray:
     distance; exact ties go to the lowest cluster index."""
     x = _values(dataset)
     centroids = np.asarray(centroids, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    k = centroids.shape[0]
-    dists = np.empty((x.shape[0], k))
-    wp = weights**p
-    for l in range(k):
-        dists[:, l] = np.abs(x - centroids[l]) ** p @ wp[l]
-    return np.argmin(dists, axis=1)
+    wp = np.asarray(weights, dtype=float) ** p
+    dists = np.empty((centroids.shape[0], x.shape[0]))
+    buf = np.empty_like(x)  # one n x m buffer for every cluster
+    for l, z in enumerate(centroids):
+        np.matmul(_abs_pow(np.subtract(x, z, out=buf), p, out=buf), wp[l], out=dists[l])
+    return np.argmin(dists, axis=0)
 
 
 def update_centroids(
@@ -83,32 +83,33 @@ def update_centroids(
     counts = np.bincount(assignments, minlength=k)
     if (counts == 0).any():
         raise EmptyClusterError(int(np.flatnonzero(counts == 0)[0]))
-    # stable, so each cluster keeps its points in data order
-    order = np.argsort(assignments, kind="stable")
+    # stable, so each cluster keeps its points in data order; numpy radix
+    # sorts small integer types, and a stable sort's permutation is unique
+    order = np.argsort(assignments.astype(np.min_scalar_type(k - 1)), kind="stable")
     offsets = np.cumsum(counts) - counts
     return minkowski_center_columns(x[order], p, center_tol, offsets, start)
 
 
 def _repair_empty(x, assignments, centroids, weights, p, k) -> int:
-    """Reseed each empty cluster with the point farthest from its
-    currently assigned centroid (restricted to clusters of size >= 2).
-    Mutates assignments in place; returns the number of repairs."""
-    repairs = 0
-    wp = weights**p
-    for l in range(k):
-        if (assignments == l).any():
-            continue
-        counts = np.bincount(assignments, minlength=k)
-        per_point = np.einsum(
-            "iv,iv->i", np.abs(x - centroids[assignments]) ** p, wp[assignments]
-        )
+    """Reseed each empty cluster, in index order, with the point farthest
+    from its currently assigned centroid (restricted to clusters of size
+    >= 2, so no repair empties another cluster). Mutates assignments in
+    place; returns the number of repairs."""
+    counts = np.bincount(assignments, minlength=k)
+    if counts.all():
+        return 0
+    dev = x - centroids[assignments]
+    per_point = np.einsum("iv,iv->i", _abs_pow(dev, p, out=dev), weights[assignments] ** p)
+    empty = np.flatnonzero(counts == 0)
+    for l in empty:
         eligible = counts[assignments] >= 2
         if not eligible.any():
-            continue
-        per_point = np.where(eligible, per_point, -np.inf)
-        assignments[int(np.argmax(per_point))] = l
-        repairs += 1
-    return repairs
+            break
+        i = int(np.argmax(np.where(eligible, per_point, -np.inf)))
+        counts[assignments[i]] -= 1
+        counts[l] = 1
+        assignments[i] = l
+    return int(counts[empty].sum())
 
 
 def _objective(weights: np.ndarray, dispersions: DispersionMatrix, p: float) -> float:

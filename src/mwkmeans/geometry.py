@@ -14,7 +14,8 @@ with Chandrupatla's inverse-quadratic/bisection hybrid (Chandrupatla
 it bisects. Every evaluation lies on the grid that bisection of [min,
 max] down to center_tol would visit, and the result is the midpoint of
 the grid cell holding the root, so it does not depend on the start.
-p = 2 takes the closed-form mean. All functions here are pure.
+p = 2 takes the closed-form mean. All functions here are pure; _abs_pow
+is the one |x - z|^p kernel of the package, used by every caller.
 """
 from __future__ import annotations
 
@@ -50,29 +51,35 @@ class CenterSolveResult:
     bracket_width: float
 
 
+def _abs_pow(a, p: float, out=None):
+    """|a|^p into out (which may be a), with the bits of np.abs(a) ** p:
+    a square at p = 2, else abs then numpy's same in-place scalar power."""
+    if p == 2.0:
+        return np.square(a, out=out)
+    out = np.abs(a, out=out)
+    out **= p
+    return out
+
+
 def weighted_minkowski_distance(x, z, w, p: float) -> float:
     """Distance sum_v w_v^p * |x_v - z_v|^p (no outer p-th root)."""
-    x = np.asarray(x, dtype=float)
-    z = np.asarray(z, dtype=float)
-    w = np.asarray(w, dtype=float)
+    x, z, w = (np.asarray(a, dtype=float) for a in (x, z, w))
     if not (x.shape == z.shape == w.shape):
-        raise DimensionMismatchError(
-            f"shape mismatch: x{x.shape}, z{z.shape}, w{w.shape}"
-        )
-    return float(np.sum(w**p * np.abs(x - z) ** p))
+        raise DimensionMismatchError(f"shape mismatch: x{x.shape}, z{z.shape}, w{w.shape}")
+    return float(np.sum(w**p * _abs_pow(x - z, p)))
 
 
 def center_objective(samples, p: float, z: float) -> float:
     """f(z) = sum_i |s_i - z|^p."""
     samples = np.asarray(samples, dtype=float)
-    return float(np.sum(np.abs(samples - z) ** p))
+    return float(np.sum(_abs_pow(samples - z, p)))
 
 
 def center_gradient(samples, p: float, z: float) -> float:
     """f'(z) = sum_i p * sign(z - s_i) * |z - s_i|^(p-1)."""
     samples = np.asarray(samples, dtype=float)
     d = z - samples
-    return float(np.sum(p * np.sign(d) * np.abs(d) ** (p - 1)))
+    return float(np.sum(p * np.sign(d) * _abs_pow(d, p - 1)))
 
 
 def _solve_blocks(matrix, offsets, p: float, center_tol: float, start=None):
@@ -123,7 +130,7 @@ def _solve_blocks(matrix, offsets, p: float, center_tol: float, start=None):
 
     def powers(z):
         d = np.repeat(z, sizes, axis=0) - u
-        return d, np.abs(d) ** q
+        return d, _abs_pow(d, q)
 
     # Every point evaluated lies on the grid, so each cell ends in one
     # grid cell, the one holding the root, whatever its start was.
@@ -170,7 +177,7 @@ def _solve_blocks(matrix, offsets, p: float, center_tol: float, start=None):
                 t = np.minimum(np.maximum(t, clip), 1.0 - clip)
             xt = np.where(active, np.rint((x1 + t * (x2 - x1)) / grid) * grid, x1)
             d, dq = powers(xt)
-            ft = np.add.reduceat(np.copysign(dq, d), offsets, axis=0)
+            ft = np.add.reduceat(np.copysign(dq, d, out=dq), offsets, axis=0)
             passes += 1
             same = (ft < 0.0) == (f1 < 0.0)
             if searching:

@@ -45,6 +45,15 @@ class TestCluster:
         assert code == 2
         assert "p" in capsys.readouterr().err
 
+    def test_p_above_solver_ceiling_is_usage_error(self, tiny_blobs_csv, tmp_path, capsys):
+        code = main([
+            "cluster", "--input", str(tiny_blobs_csv), "--k", "2", "--p", "2000",
+            "--out", str(tmp_path / "r.json"),
+        ])
+        assert code == 2
+        assert "1023" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
     def test_missing_input_is_io_error(self, tmp_path):
         code = main([
             "cluster", "--input", str(tmp_path / "absent.csv"), "--k", "2",

@@ -98,6 +98,14 @@ class TestMwkConfig:
         with pytest.raises(InvalidConfigError):
             MwkConfig(k=2, p=1.0 + 1e-10)
 
+    @pytest.mark.parametrize("p", [float("inf"), 1024.0, 2000.0])
+    def test_rejects_p_above_solver_ceiling(self, p):
+        with pytest.raises(InvalidConfigError, match="at most 1023"):
+            MwkConfig(k=2, p=p)
+
+    def test_accepts_solver_ceiling(self):
+        assert MwkConfig(k=2, p=1023.0).p == 1023.0
+
     def test_rejects_bad_k(self):
         with pytest.raises(InvalidConfigError):
             MwkConfig(k=0, p=2.0)
@@ -122,6 +130,17 @@ class TestDispersions:
             for v in range(3):
                 expected = sum(abs(xi[v] - centroids[l, v]) ** p for xi in x[assignments == l])
                 assert d[l, v] == pytest.approx(expected, rel=1e-12)
+
+    def test_read_only_inputs_untouched(self):
+        rng = np.random.default_rng(3)
+        dataset = validate_dataset(rng.normal(size=(12, 3)))
+        centroids = rng.normal(size=(2, 3))
+        centroids.setflags(write=False)
+        before = (dataset.values.copy(), centroids.copy())
+        d = compute_dispersions(dataset.values, np.arange(12) % 2, centroids, 1.5).d
+        assert np.isfinite(d).all()
+        np.testing.assert_array_equal(dataset.values, before[0])
+        np.testing.assert_array_equal(centroids, before[1])
 
     def test_round_trip_from_run(self):
         rng = np.random.default_rng(1)

@@ -22,11 +22,27 @@ from mwkmeans.errors import DimensionMismatchError, EmptyClusterError, InvalidCo
 
 
 class TestAssignPoints:
-    def test_exact_tie_goes_to_lowest_index(self):
+    @pytest.mark.parametrize("p", [1.1, 1.5, 2.0, 5.0])
+    def test_exact_tie_goes_to_lowest_index(self, p):
         x = np.array([[1.0]])
         centroids = np.array([[0.0], [2.0]])
         weights = np.full((2, 1), 1.0)
-        assert assign_points(x, centroids, weights, 2.0)[0] == 0
+        assert assign_points(x, centroids, weights, p)[0] == 0
+
+    @pytest.mark.parametrize("p", [1.1, 2.0, 5.0])
+    def test_read_only_inputs_untouched(self, p):
+        rng = np.random.default_rng(4)
+        dataset = validate_dataset(rng.normal(size=(20, 3)))
+        centroids = rng.normal(size=(3, 3))
+        weights = np.full((3, 3), 1.0 / 3)
+        for a in (centroids, weights):
+            a.setflags(write=False)
+        before = (dataset.values.copy(), centroids.copy(), weights.copy())
+        assignments = assign_points(dataset, centroids, weights, p)
+        np.testing.assert_array_equal(assignments, assign_points(before[0], before[1], before[2], p))
+        np.testing.assert_array_equal(dataset.values, before[0])
+        np.testing.assert_array_equal(centroids, before[1])
+        np.testing.assert_array_equal(weights, before[2])
 
     def test_points_at_centroids(self):
         x = np.array([[0.0, 0.0], [5.0, 5.0], [9.0, 0.0]])
@@ -38,6 +54,50 @@ class TestAssignPoints:
         centroids = np.array([[1.0], [9.0]])
         weights = np.full((2, 1), 1.0)
         np.testing.assert_array_equal(assign_points(x, centroids, weights, 2.0), [0, 1])
+
+
+class TestRepairEmpty:
+    # values pinned from the per-cluster-scan implementation
+    X = np.array([[10.0, 0.0], [-9.0, 0.0], [11.0, 0.0], [3.0, 0.0], [3.5, 0.0]])
+    CENTROIDS = np.array([[0.0, 0.0], [50.0, 50.0], [3.0, 0.0], [60.0, 60.0]])
+    WEIGHTS = np.full((4, 2), 0.5)
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 5.0])
+    @pytest.mark.parametrize(
+        "before, after",
+        [
+            ([0, 0, 0, 2, 2], [3, 0, 1, 2, 2]),
+            # the first repair leaves cluster 0 one point, so the second
+            # must pass over it (distance 9) for cluster 2's farthest (8)
+            ([0, 0, 2, 2, 2], [1, 0, 3, 2, 2]),
+        ],
+    )
+    def test_two_empty_clusters(self, p, before, after):
+        assignments = np.array(before)
+        repairs = engine._repair_empty(self.X, assignments, self.CENTROIDS, self.WEIGHTS, p, 4)
+        assert repairs == 2
+        np.testing.assert_array_equal(assignments, after)
+
+    def test_nothing_empty(self):
+        assignments = np.array([0, 1, 2, 3, 3])
+        assert engine._repair_empty(self.X, assignments, self.CENTROIDS, self.WEIGHTS, 2.0, 4) == 0
+        np.testing.assert_array_equal(assignments, [0, 1, 2, 3, 3])
+
+    def test_no_donor_with_two_points(self):
+        assignments = np.array([0, 1, 2])
+        assert engine._repair_empty(self.X[:3], assignments, self.CENTROIDS, self.WEIGHTS, 2.0, 4) == 0
+        np.testing.assert_array_equal(assignments, [0, 1, 2])
+
+    def test_read_only_inputs_untouched(self):
+        dataset = validate_dataset(self.X)
+        centroids, weights = self.CENTROIDS.copy(), self.WEIGHTS.copy()
+        for a in (centroids, weights):
+            a.setflags(write=False)
+        assignments = np.array([0, 0, 2, 2, 2])
+        assert engine._repair_empty(dataset.values, assignments, centroids, weights, 1.5, 4) == 2
+        np.testing.assert_array_equal(dataset.values, self.X)
+        np.testing.assert_array_equal(centroids, self.CENTROIDS)
+        np.testing.assert_array_equal(weights, self.WEIGHTS)
 
 
 class TestUpdateCentroids:

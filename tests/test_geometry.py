@@ -9,7 +9,31 @@ from mwkmeans import (
     weighted_minkowski_distance,
 )
 from mwkmeans.errors import DimensionMismatchError, InvalidConfigError, NonFiniteError
-from mwkmeans.geometry import DEFAULT_CENTER_TOL, minkowski_center_columns
+from mwkmeans.geometry import DEFAULT_CENTER_TOL, _abs_pow, minkowski_center_columns
+
+
+class TestAbsPow:
+    TINY = np.finfo(float).tiny
+
+    def values(self):
+        a = np.array([-3.5, -1.0, -0.0, 0.0, 0.25, 1.0, 2.0, 7.3, -1e300, 1e300])
+        a = np.concatenate([a, [self.TINY / 4, -self.TINY / 3, 5e-324, -5e-324, 1e-200, -1e-160]])
+        return np.concatenate([a, np.random.default_rng(0).normal(size=64) * 1e3]).reshape(2, -1)
+
+    @pytest.mark.parametrize("p", [1.1, 1.5, 2.0, 5.0, 1023.0])
+    def test_same_bits_as_abs_power(self, p):
+        a = self.values()
+        with np.errstate(over="ignore", under="ignore"):
+            expected = (np.abs(a) ** p).tobytes()
+            assert _abs_pow(a, p).tobytes() == expected
+            out = np.empty_like(a)
+            assert _abs_pow(a, p, out=out) is out
+            assert out.tobytes() == expected
+            in_place = a.copy()
+            assert _abs_pow(in_place, p, out=in_place) is in_place
+        assert in_place.tobytes() == expected
+        assert np.isinf(in_place).any()  # (1e300)^p overflows at every p here
+        assert (in_place == 0.0).any() and not np.signbit(in_place).any()
 
 
 class TestWeightedMinkowskiDistance:
