@@ -22,8 +22,14 @@ from mwkmeans.errors import DimensionMismatchError, EmptyClusterError, InvalidCo
 
 
 class TestAssignPoints:
+    def test_exact_tie_goes_to_lowest_index(self):
+        x = np.array([[1.0]])
+        centroids = np.array([[0.0], [2.0]])
+        weights = np.full((2, 1), 1.0)
+        assert assign_points(x, centroids, weights, 2.0)[0] == 0
+
     @pytest.mark.parametrize("p", [1.1, 1.5, 2.0, 5.0])
-    def test_exact_tie_goes_to_lowest_index(self, p):
+    def test_exact_tie_goes_to_lowest_index_any_p(self, p):
         x = np.array([[1.0]])
         centroids = np.array([[0.0], [2.0]])
         weights = np.full((2, 1), 1.0)
