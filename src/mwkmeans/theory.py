@@ -11,16 +11,24 @@ Since r < 0 the power mean sits between the row minimum and the row
 geometric mean, which gives computable lower and upper bounds for the
 objective. These functions never touch the clustering loop, so they
 serve as oracles against it.
+
+Every log-domain sum goes through this module's own `_logsumexp`, which
+shares nothing with `weighting`'s normalisation. It takes the standard
+real-input steps in the standard order, so its bits equal the usual
+library routine's (tests/test_theory.py checks them with `==`); numpy is
+the only dependency.
+
+A NaN input raises NonFiniteError naming its cell; a negative dispersion,
+or a nonpositive value given to a mean, raises NonpositiveValueError.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .core import DispersionMatrix
-from .errors import BoundViolationError, NonpositiveValueError
+from .errors import BoundViolationError, NonFiniteError, NonpositiveValueError
 
 
 @dataclass(frozen=True)
@@ -32,28 +40,56 @@ class BoundsResult:
     prefactor: float  # 1 / m^(p-1)
 
 
+def _logsumexp(a: np.ndarray) -> float:
+    """log(sum exp(a)) of a 1-D float array: shift by the maximum, count
+    its c ties out of the shifted sum s, and return
+    log1p(s / c) + log(c) + max. A non-finite maximum is the answer
+    itself (+inf, or -inf for all -inf input)."""
+    a_max = a.max()
+    if not np.isfinite(a_max):
+        return a_max
+    top = a == a_max
+    e = np.exp(a - a_max)
+    e[top] = 0.0
+    c = np.count_nonzero(top)
+    return np.log1p(e.sum() / c) + np.log(c) + a_max
+
+
+def _reject(values: np.ndarray, message: str):
+    """Raise for a failed sign test: NonFiniteError naming the first NaN
+    cell if there is one, NonpositiveValueError otherwise."""
+    nan = np.atleast_2d(np.isnan(values))
+    if nan.any():
+        row, col = np.argwhere(nan)[0]
+        raise NonFiniteError(int(row), int(col))
+    raise NonpositiveValueError(message)
+
+
 def _as_matrix(dispersions) -> np.ndarray:
     d = dispersions.d if isinstance(dispersions, DispersionMatrix) else np.asarray(dispersions, dtype=float)
-    return np.atleast_2d(d)
+    d = np.atleast_2d(d)
+    if not (d >= 0).all():
+        _reject(d, "dispersions must be nonnegative")
+    return d
 
 
 def power_mean(values, r: float) -> float:
     """Power mean of order r: ((1/m) * sum v^r)^(1/r), computed in the
     log domain so large |r| neither overflows nor underflows."""
     values = np.asarray(values, dtype=float)
-    if (values <= 0).any():
-        raise NonpositiveValueError("power mean requires positive values")
+    if not (values > 0).all():
+        _reject(values, "power mean requires positive values")
     if r == 0.0:
         raise ValueError("r = 0 is the geometric mean; use geometric_mean")
     log_v = np.log(values)
-    return float(np.exp((logsumexp(r * log_v) - np.log(values.size)) / r))
+    return float(np.exp((_logsumexp(r * log_v) - np.log(values.size)) / r))
 
 
 def geometric_mean(values) -> float:
     """(prod v)^(1/m), computed as exp of the mean log."""
     values = np.asarray(values, dtype=float)
-    if (values <= 0).any():
-        raise NonpositiveValueError("geometric mean requires positive values")
+    if not (values > 0).all():
+        _reject(values, "geometric mean requires positive values")
     return float(np.exp(np.mean(np.log(values))))
 
 
@@ -66,7 +102,7 @@ def _row_objective(row: np.ndarray, p: float) -> float:
     if (row == 0.0).any():
         return 0.0
     inv = 1.0 / (p - 1.0)
-    return float(np.exp(-(p - 1.0) * logsumexp(-inv * np.log(row))))
+    return float(np.exp(-(p - 1.0) * _logsumexp(-inv * np.log(row))))
 
 
 def objective_via_dispersions(dispersions, p: float) -> float:

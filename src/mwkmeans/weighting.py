@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import DispersionMatrix
-from .errors import InvalidCError, InvalidMError, NonpositiveDispersionError
+from .errors import InvalidCError, InvalidMError, NonFiniteError, NonpositiveDispersionError
 
 
 def update_weights(dispersions: DispersionMatrix | np.ndarray, p: float) -> np.ndarray:
@@ -24,11 +24,17 @@ def update_weights(dispersions: DispersionMatrix | np.ndarray, p: float) -> np.n
     A row with zero dispersions takes the limiting weights: all mass
     split evenly over its zero-dispersion features (uniform 1/m when the
     whole row is zero). Positive rows are computed in the log domain so
-    exponents 1/(p-1) of 100+ neither overflow nor underflow.
+    exponents 1/(p-1) of 100+ neither overflow nor underflow. A negative
+    dispersion raises NonpositiveDispersionError, a NaN one NonFiniteError
+    naming its cell.
     """
     d = dispersions.d if isinstance(dispersions, DispersionMatrix) else np.asarray(dispersions, dtype=float)
     d = np.atleast_2d(d)
-    if (d < 0).any():
+    if not (d >= 0).all():
+        nan = np.isnan(d)
+        if nan.any():
+            row, col = np.argwhere(nan)[0]
+            raise NonFiniteError(int(row), int(col))
         raise NonpositiveDispersionError("dispersions must be nonnegative")
     zero = d == 0.0
     a = -np.log(np.where(zero, 1.0, d)) / (p - 1.0)

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mwkmeans
 from mwkmeans import load_csv, save_csv, validate_dataset
 from mwkmeans.cli import main
 
@@ -129,6 +134,17 @@ class TestVerify:
         assert main(["verify", "--trials", "20", "--inject-fault", "ratio-law"]) == 1
         captured = capsys.readouterr()
         assert "ratio-law" in captured.err
+
+
+class TestImport:
+    def test_cli_import_leaves_scipy_out(self):
+        """numpy is the only runtime dependency: importing the CLI in a
+        fresh interpreter must not load scipy."""
+        src = str(Path(mwkmeans.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = "import sys, mwkmeans.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
 
 class TestUsage:

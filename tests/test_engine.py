@@ -216,6 +216,21 @@ class TestRun:
             assert 0.0 <= report.normalised_objective <= 1.0
 
 
+    @pytest.mark.parametrize("p", [1.1, 1.5, 2.0, 5.0])
+    def test_objective_matches_plain_recomputation(self, p):
+        """The reported objective is sum_i sum_v w_{a(i)v}^p |x_iv - z_{a(i)v}|^p
+        of the final assignments, centres and weights, recomputed with plain
+        numpy. The golden gates compare only scale-free outputs, so a uniform
+        relative drift of |x - z|^p shows here and nowhere else."""
+        rng = np.random.default_rng(int(p * 10))
+        for trial in range(4):
+            x = rng.normal(size=(int(rng.integers(30, 80)), int(rng.integers(2, 6))))
+            state = run(validate_dataset(x), MwkConfig(k=3, p=p, seed=trial)).final_state
+            z = state.centroids[state.assignments]
+            w = state.weights[state.assignments]
+            expected = float(np.sum(w**p * np.abs(x - z) ** p))
+            assert state.objective == pytest.approx(expected, rel=1e-12, abs=0)
+
     def test_settled_iteration_reuses_its_centres(self, monkeypatch):
         """An iteration that reassigns and repairs nothing keeps the last
         centres, dispersions and weights: no centre solve, the same

@@ -10,7 +10,8 @@ from mwkmeans import (
     power_mean,
     update_weights,
 )
-from mwkmeans.errors import BoundViolationError, NonpositiveValueError
+from mwkmeans.errors import BoundViolationError, NonFiniteError, NonpositiveValueError
+from mwkmeans.theory import _logsumexp
 
 
 class TestPowerMean:
@@ -26,6 +27,11 @@ class TestPowerMean:
     def test_rejects_nonpositive(self):
         with pytest.raises(NonpositiveValueError):
             power_mean([1.0, 0.0], -1.0)
+
+    def test_nan_is_named(self):
+        with pytest.raises(NonFiniteError) as info:
+            power_mean([1.0, np.nan], -1.0)
+        assert (info.value.row, info.value.col) == (0, 1)
 
     def test_rejects_r_zero(self):
         with pytest.raises(ValueError):
@@ -50,6 +56,11 @@ class TestGeometricMean:
         with pytest.raises(NonpositiveValueError):
             geometric_mean([1.0, -1.0])
 
+    def test_nan_is_named(self):
+        with pytest.raises(NonFiniteError) as info:
+            geometric_mean([np.nan, 2.0])
+        assert (info.value.row, info.value.col) == (0, 0)
+
 
 class TestObjectiveForms:
     def test_single_cell_collapses_to_dispersion(self):
@@ -64,6 +75,17 @@ class TestObjectiveForms:
         assert objective_via_dispersions([[0.0, 1.0], [1.0, 2.0]], 2.0) == pytest.approx(
             objective_via_dispersions([[1.0, 2.0]], 2.0)
         )
+
+    @pytest.mark.parametrize("form", [objective_via_dispersions, objective_via_power_means])
+    def test_nan_is_named(self, form):
+        with pytest.raises(NonFiniteError) as info:
+            form([[1.0, 2.0], [3.0, np.nan]], 1.5)
+        assert (info.value.row, info.value.col) == (1, 1)
+
+    @pytest.mark.parametrize("form", [objective_via_dispersions, objective_via_power_means])
+    def test_negative_dispersion_rejected(self, form):
+        with pytest.raises(NonpositiveValueError):
+            form([[0.0, -1.0], [1.0, 2.0]], 1.5)
 
     def test_triple_equality_random(self):
         rng = np.random.default_rng(0)
@@ -89,6 +111,15 @@ class TestObjectiveBounds:
         assert b.lower == pytest.approx(0.5)
         assert b.upper == pytest.approx(1.0)
         assert b.prefactor == pytest.approx(0.5)
+
+    def test_nan_is_named(self):
+        with pytest.raises(NonFiniteError) as info:
+            objective_bounds([[1.0, 2.0], [np.nan, 3.0]], 2.0)
+        assert (info.value.row, info.value.col) == (1, 0)
+
+    def test_negative_dispersion_rejected(self):
+        with pytest.raises(NonpositiveValueError):
+            objective_bounds([[0.0, -1.0]], 2.0)
 
     def test_objective_always_inside(self):
         rng = np.random.default_rng(1)
@@ -153,3 +184,45 @@ class TestNormalisedObjective:
     def test_near_boundary_clamped(self):
         b = objective_bounds([[1.0, 4.0]], 2.0)
         assert normalised_objective(b.upper + 1e-10 * b.upper, b) == 1.0
+
+
+class TestLogSumExpOracle:
+    """theory's own log-sum-exp gives exactly scipy's bits (`==`, not
+    approx), so dropping the scipy import changed no output."""
+
+    @pytest.fixture
+    def logsumexp(self):
+        return pytest.importorskip("scipy.special").logsumexp
+
+    def test_random_rows(self, logsumexp):
+        rng = np.random.default_rng(10)
+        for _ in range(2000):
+            a = rng.normal(0.0, float(rng.choice([1.0, 30.0, 1e4])), int(rng.integers(1, 10)))
+            assert _logsumexp(a) == logsumexp(a)
+
+    def test_tied_maxima(self, logsumexp):
+        rng = np.random.default_rng(11)
+        for _ in range(2000):
+            a = rng.integers(-3, 2, int(rng.integers(2, 10))).astype(float)
+            assert _logsumexp(a) == logsumexp(a)
+        for a in ([2.0, 2.0], [2.0, 2.0, 1.0], [1.0, 7.5, 7.5, 7.5], [-1e300, -1e300]):
+            assert _logsumexp(np.array(a)) == logsumexp(np.array(a))
+
+    def test_single_entries(self, logsumexp):
+        for v in (0.0, -0.0, 1.0, -3.5, 1e-300, 709.8, -745.2, 1e308, -1e308):
+            a = np.array([v])
+            assert _logsumexp(a) == logsumexp(a)
+
+    def test_infinite_entries(self, logsumexp):
+        inf = np.inf
+        for a in ([inf, 1.0], [1.0, inf, inf], [inf, -inf], [-inf, 0.5], [-inf, -inf, -inf], [-inf]):
+            a = np.array(a)
+            assert _logsumexp(a) == logsumexp(a)
+
+    def test_power_mean_at_large_order(self, logsumexp):
+        rng = np.random.default_rng(12)
+        for r in (-2e7, -1e5, -150.0, -1.0, -1e-6, 1e-6, 3.0, 2e7):
+            for _ in range(50):
+                values = np.exp(rng.normal(0.0, 2.0, int(rng.integers(1, 9))))
+                with_scipy = float(np.exp((logsumexp(r * np.log(values)) - np.log(values.size)) / r))
+                assert power_mean(values, r) == with_scipy

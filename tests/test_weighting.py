@@ -7,7 +7,7 @@ from mwkmeans import (
     update_weights,
     weight_ratio,
 )
-from mwkmeans.errors import InvalidCError, InvalidMError, NonpositiveDispersionError
+from mwkmeans.errors import InvalidCError, InvalidMError, NonFiniteError, NonpositiveDispersionError
 
 
 class TestUpdateWeights:
@@ -62,6 +62,11 @@ class TestUpdateWeights:
     def test_negative_dispersion_rejected(self):
         with pytest.raises(NonpositiveDispersionError):
             update_weights(np.array([[-1.0, 1.0]]), 2.0)
+
+    def test_nan_dispersion_is_named(self):
+        with pytest.raises(NonFiniteError) as info:
+            update_weights([[1.0, 2.0], [np.nan, 1.0]], 1.5)
+        assert (info.value.row, info.value.col) == (1, 0)
 
     def test_concentration_near_p_one(self):
         # exponent 1/(p-1) = 100 turns a factor-2 dispersion gap into 2^100
