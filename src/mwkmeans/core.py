@@ -120,12 +120,12 @@ class MwkConfig:
                 f"p must exceed 1 and be at most {_MAX_P:g} (got p={self.p}); the weight update"
                 f" and the unique centre need p > 1, the centre solver's float range p <= {_MAX_P:g}"
             )
-        if self.tol_objective < 0:
-            raise InvalidConfigError("tol_objective must be nonnegative")
+        if not self.tol_objective >= 0:  # NaN fails too
+            raise InvalidConfigError(f"tol_objective must be nonnegative, got {self.tol_objective}")
         if self.max_iter < 1:
             raise InvalidConfigError("max_iter must be >= 1")
-        if self.center_tol <= 0:
-            raise InvalidConfigError("center_tol must be positive")
+        if not self.center_tol > 0:  # NaN fails too
+            raise InvalidConfigError(f"center_tol must be positive, got {self.center_tol}")
         if self.restarts < 1:
             raise InvalidConfigError("restarts must be >= 1")
         if self.seed < 0:

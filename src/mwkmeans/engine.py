@@ -11,6 +11,18 @@ There is one loop. The centre step solves all k x m centres in one call;
 the dispersion step is one matrix product. Every |x - z|^p, here and in
 the dispersions, is geometry._abs_pow, computed in place. Lloyd's
 k-means baseline is the same loop at p = 2 with every weight frozen at 1.
+
+At p = 2 the assignment step first screens all k clusters with the
+expansion |x|^2_w - 2 x.(w^2 z) + |z|^2_w, three matrix products. The
+expansion cancels, so it only decides a point when every other cluster
+is farther by more than a bound on the rounding error of the expansion
+and of the direct loop together (_screen_p2). If any point is left
+undecided, or a value could overflow, the whole call runs the direct
+loop, which stays the only definition of the distance; either way the
+answer is the direct loop's. The screen decides every point when the
+data's common offset is not far larger than its spread, as after range
+normalisation; data offset by about 1e6 times its spread falls back on
+every call and pays for the screen on top of the loop.
 """
 from __future__ import annotations
 
@@ -30,7 +42,7 @@ from .core import (
     check_assignments,
     compute_dispersions,
 )
-from .errors import EmptyClusterError, InvalidConfigError
+from .errors import DimensionMismatchError, EmptyClusterError, InvalidConfigError
 from .geometry import _abs_pow, minkowski_center_columns
 from .weighting import update_weights
 
@@ -56,15 +68,104 @@ def _values(dataset) -> np.ndarray:
 
 def assign_points(dataset, centroids, weights, p: float) -> np.ndarray:
     """Nearest-centroid assignment under the weighted Minkowski
-    distance; exact ties go to the lowest cluster index."""
+    distance sum_v w_lv^p |x_iv - z_lv|^p; exact ties go to the lowest
+    cluster index.
+
+    The answer is always the argmin of the direct loop: one n x m buffer
+    per cluster, |x - z|^p in place, a product with w_l^p. At p = 2,
+    _screen_p2 first tries to decide every point with one error-bounded
+    expansion; it returns the same answer or gives the call back to the
+    loop (ties, overflow, NaN, or a common offset far larger than the
+    data's spread).
+
+    Raises DimensionMismatchError unless points, centroids and weights
+    have shapes (n, m), (k, m) and (k, m) with k >= 1.
+    """
     x = _values(dataset)
     centroids = np.asarray(centroids, dtype=float)
     wp = np.asarray(weights, dtype=float) ** p
+    if not (x.ndim == centroids.ndim == 2 and centroids.shape == wp.shape
+            and centroids.shape[0] >= 1 and centroids.shape[1] == x.shape[1]):
+        raise DimensionMismatchError(
+            f"points {x.shape}, centroids {centroids.shape} and weights {wp.shape}"
+            " must have shapes (n, m), (k, m) and (k, m) with k >= 1"
+        )
+    if p == 2.0:
+        assignments = _screen_p2(x, centroids, wp)
+        if assignments is not None:
+            return assignments
     dists = np.empty((centroids.shape[0], x.shape[0]))
     buf = np.empty_like(x)  # one n x m buffer for every cluster
     for l, z in enumerate(centroids):
         np.matmul(_abs_pow(np.subtract(x, z, out=buf), p, out=buf), wp[l], out=dists[l])
     return np.argmin(dists, axis=0)
+
+
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
+_SMALLEST_SUBNORMAL = np.finfo(float).smallest_subnormal
+
+
+def _screen_p2(x, z, wp):
+    """The direct loop's p = 2 assignments, or None where this cannot
+    prove them.
+
+    d_li = sx_li - 2 (wp_l z_l).x_i + sz_l with sx_li = wp_l.x_i^2 and
+    sz_l = wp_l.z_l^2: three products in (k, n) layout. Point i goes to
+    cluster b when every other d_ji exceeds d_bi + E. E bounds the
+    rounding error of both computations of both distances (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002, 3.1:
+    a dot product of m terms errs by at most gamma_m = m u / (1 - m u)
+    times the dot product of absolute values; u = 2^-53):
+
+    - direct loop: x - z, its square, then a dot product of m terms, so
+      gamma_(m+3) D with D = wp.(x - z)^2 <= 2 (Sx + Sz), where
+      (x - z)^2 <= 2 x^2 + 2 z^2 term by term;
+    - expansion: sx and sz each carry gamma_(m+1), the cross term
+      (one rounding in wp z, exact doubling, a dot product) gamma_(m+1)
+      of its absolute value, at most Sx + Sz because 2 |x z| <= x^2 + z^2
+      term by term, and the two additions gamma_2: in all
+      gamma_(m+3) (|cross| + Sx + Sz) <= 2 gamma_(m+3) (Sx + Sz).
+
+    Over the two distances of each computation that a comparison uses,
+    that is 8 gamma_(m+3) (Sx + Sz); replacing the exact Sx, Sz by the
+    largest computed sx, sz costs one more rounding, 8 gamma_(m+4). The
+    code uses c = 16, twice that, which also covers the rounding of
+    d_bi + E and of E itself. Gradual underflow adds an absolute error
+    of at most eta / 2 per product or square (eta the smallest
+    subnormal; sums and differences add none), which a later factor may
+    scale by a weight (at most W) or by |x| (at most X): at most
+    3 m eta (2 + W + X) over the four distances, taken twice.
+
+    So a point whose column of d holds one value within E of its
+    minimum goes to that cluster in the direct loop as well, and exact
+    ties, which the loop sends to the lower index, never pass. The
+    bound holds only without overflow: the screen requires
+    8 (max sx + max sz + max x^2 + max z^2) to be finite, which keeps
+    every (x - z)^2, every distance and every wp z finite, and is NaN
+    for any NaN or infinite input. It then has one value within E of
+    the minimum in every column exactly when there are n in all.
+    """
+    n, m = x.shape
+    with np.errstate(all="ignore"):  # any non-finite value sends the call to the loop
+        xx = np.square(x)
+        x2max = xx.max(initial=0.0)
+        d = wp @ xx.T  # sx for now
+        del xx  # freed before the next (k, n) product, so fewer fresh pages
+        zz = np.square(z)
+        sz = (wp * zz).sum(axis=1)
+        scale = d.max(initial=0.0) + sz.max()
+        if not np.isfinite(8.0 * (scale + x2max + zz.max(initial=0.0))):
+            return None
+        d += sz[:, None]
+        d += (-2.0 * (wp * z)) @ x.T
+        gamma = (m + 4) * _UNIT_ROUNDOFF / (1 - (m + 4) * _UNIT_ROUNDOFF)
+        bound = 16.0 * gamma * scale + 6.0 * (m + 4) * _SMALLEST_SUBNORMAL * (
+            2.0 + wp.max(initial=0.0) + np.sqrt(x2max)
+        )
+        mask = d <= d.min(axis=0) + bound
+    if np.count_nonzero(mask) != n:
+        return None
+    return np.arange(z.shape[0]) @ mask
 
 
 def update_centroids(

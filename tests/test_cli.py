@@ -59,6 +59,15 @@ class TestCluster:
         assert "1023" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
+    def test_nan_tol_is_usage_error(self, tiny_blobs_csv, tmp_path, capsys):
+        code = main([
+            "cluster", "--input", str(tiny_blobs_csv), "--k", "2", "--p", "1.5",
+            "--tol", "nan", "--out", str(tmp_path / "r.json"),
+        ])
+        assert code == 2
+        assert "tol_objective" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
     def test_missing_input_is_io_error(self, tmp_path):
         code = main([
             "cluster", "--input", str(tmp_path / "absent.csv"), "--k", "2",

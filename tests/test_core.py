@@ -117,6 +117,15 @@ class TestMwkConfig:
         with pytest.raises(InvalidConfigError):
             MwkConfig(k=2, p=2.0, tol_objective=-1.0)
 
+    @pytest.mark.parametrize("field", ["tol_objective", "center_tol"])
+    def test_rejects_nan_tolerance(self, field):
+        with pytest.raises(InvalidConfigError, match=field):
+            MwkConfig(k=2, p=1.5, **{field: float("nan")})
+
+    @pytest.mark.parametrize("field", ["tol_objective", "center_tol"])
+    def test_accepts_infinite_tolerance(self, field):
+        assert getattr(MwkConfig(k=2, p=1.5, **{field: float("inf")}), field) == float("inf")
+
 
 class TestDispersions:
     def test_matches_definition(self):

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import best_label_agreement, brute_force_objective, grid_search_center, two_blob_dataset
 from mwkmeans import (
@@ -60,6 +62,141 @@ class TestAssignPoints:
         centroids = np.array([[1.0], [9.0]])
         weights = np.full((2, 1), 1.0)
         np.testing.assert_array_equal(assign_points(x, centroids, weights, 2.0), [0, 1])
+
+    @pytest.mark.parametrize("p", [1.5, 2.0])
+    @pytest.mark.parametrize(
+        "centroid_shape, weight_shape",
+        [
+            ((2, 3), (3, 3)),  # more weight rows than centroids
+            ((3, 3), (2, 3)),  # fewer weight rows than centroids
+            ((2, 4), (2, 4)),  # centroid and weight width other than m
+            ((2, 3), (2, 2)),  # weight width other than m
+            ((0, 3), (0, 3)),  # no centroids
+        ],
+    )
+    def test_shape_mismatch_is_named(self, p, centroid_shape, weight_shape):
+        x = np.zeros((5, 3))
+        with pytest.raises(DimensionMismatchError, match=r"centroids \(\d+, \d+\)"):
+            assign_points(x, np.zeros(centroid_shape), np.full(weight_shape, 0.5), p)
+
+
+def plain_assign(x, z, w):
+    """The p = 2 assignment written out with plain numpy."""
+    return np.argmin(np.stack([np.abs(x - z_l) ** 2 @ w_l**2 for z_l, w_l in zip(z, w)]), axis=0)
+
+
+def simplex_rows(rng, k, m):
+    w = rng.random((k, m))
+    return w / w.sum(axis=1, keepdims=True)
+
+
+class TestAssignP2Screen:
+    """At p = 2 a matrix-product screen decides the points it can; the
+    answer must always be the direct loop's, written out in plain_assign."""
+
+    # powers of two, so scaling leaves the points' exact ties exact
+    SCALES = [2.0**-498, 1.0, 2.0**498]  # about 1e-150, 1, 1e150
+    SCALE_IDS = ["1e-150", "1", "1e150"]
+
+    @pytest.mark.parametrize("scale", SCALES, ids=SCALE_IDS)
+    def test_duplicated_centroids_go_to_lower_index(self, scale):
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(300, 5)) * scale
+        rows = x[rng.choice(300, 3, replace=False)]
+        z = rows[[0, 1, 2, 1, 0, 2]]
+        w = simplex_rows(rng, 3, 5)[[0, 1, 2, 1, 0, 2]]
+        assignments = assign_points(x, z, w, 2.0)
+        assert set(assignments) <= {0, 1, 2}
+        np.testing.assert_array_equal(assignments, plain_assign(x, z, w))
+
+    @pytest.mark.parametrize("scale", SCALES, ids=SCALE_IDS)
+    @pytest.mark.parametrize("order", [[0, 1, 2], [1, 0, 2]])
+    def test_equidistant_points_go_to_lower_index(self, scale, order):
+        # the first two centroids differ only in features 0 and 1, where
+        # every point lies exactly half way: the direct loop ties them
+        # exactly, while the expansion mostly rounds the two sides
+        # differently, one way in one order and the other way in the
+        # other. Each point also goes alone, so no other point's exact
+        # tie in the expansion sends the call to the loop.
+        rng = np.random.default_rng(12)
+        n = 200
+        x = np.column_stack([
+            np.full(n, 37.0), np.full(n, -21.0), rng.integers(-40, 40, size=(n, 3))
+        ])
+        z = np.array([[36.0, -23.0, 0, 0, 0], [38.0, -19.0, 0, 0, 0], [90.0] * 5])[order]
+        w = simplex_rows(rng, 1, 5)[[0, 0, 0]]
+        x, z = x * scale, z * scale
+        assignments = assign_points(x, z, w, 2.0)
+        np.testing.assert_array_equal(assignments, 0)
+        np.testing.assert_array_equal(assignments, plain_assign(x, z, w))
+        alone = np.concatenate([assign_points(x[i : i + 1], z, w, 2.0) for i in range(n)])
+        np.testing.assert_array_equal(alone, 0)
+
+    @pytest.mark.parametrize("offset", [1e6, 1e8])
+    def test_common_offset(self, offset):
+        rng = np.random.default_rng(13)
+        x = rng.random((2000, 8)) + offset
+        z = x[rng.choice(2000, 10, replace=False)]
+        w = simplex_rows(rng, 10, 8)
+        np.testing.assert_array_equal(assign_points(x, z, w, 2.0), plain_assign(x, z, w))
+
+    @pytest.mark.parametrize(
+        "x, z, w",
+        [
+            # squares overflow, so both computations reach inf
+            (np.random.default_rng(14).normal(size=(200, 4)) * 1e200,
+             np.random.default_rng(15).normal(size=(3, 4)) * 1e200,
+             np.full((3, 4), 0.25)),
+            # x^2 and z^2 are finite and so is the weighted expansion, but
+            # the direct loop's (x - z)^2 overflows for both clusters
+            (np.array([[1e154]]), np.array([[-1e154], [-0.9e154]]), np.full((2, 1), 1e-10)),
+        ],
+    )
+    def test_huge_values(self, x, z, w):
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = plain_assign(x, z, w)
+            np.testing.assert_array_equal(assign_points(x, z, w, 2.0), expected)
+
+    def test_decided_points_match_loop(self):
+        rng = np.random.default_rng(16)
+        x = rng.random((5000, 16)) - 0.5
+        z = x[rng.choice(5000, 10, replace=False)]
+        w = simplex_rows(rng, 10, 16)
+        assert engine._screen_p2(x, z, w**2) is not None
+        np.testing.assert_array_equal(assign_points(x, z, w, 2.0), plain_assign(x, z, w))
+
+
+@st.composite
+def p2_problems(draw):
+    def matrix(elements, rows, cols):
+        cells = draw(st.lists(elements, min_size=rows * cols, max_size=rows * cols))
+        return np.array(cells).reshape(rows, cols)
+
+    n, m = draw(st.integers(1, 30)), draw(st.integers(1, 5))
+    k = draw(st.integers(1, n))
+    # values from a small pool, so rows and columns repeat
+    base = matrix(st.sampled_from(draw(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=6))), n, m)
+    for v in draw(st.lists(st.integers(0, m - 1), max_size=m)):
+        base[:, v] = base[0, v]  # constant column
+    scale = draw(st.sampled_from([1e-150, 1e-3, 1.0, 1e3, 1e150]))
+    offset = draw(st.sampled_from([0.0, 1.0, 1e3, 1e6, 1e8]))
+    x = (base + offset) * scale
+    if draw(st.booleans()):
+        z = x[draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k))]  # rows, perhaps repeated
+    else:
+        z = (matrix(st.floats(-1.0, 1.0), k, m) + offset) * scale
+    w = matrix(st.sampled_from([0.0, 0.0, 0.1, 0.3, 1.0]), k, m)
+    w[w.sum(axis=1) == 0] = 1.0  # zero weights, but no zero row
+    return x, z, w / w.sum(axis=1, keepdims=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p2_problems())
+def test_p2_assignment_matches_plain_numpy(problem):
+    x, z, w = problem
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = plain_assign(x, z, w)
+        np.testing.assert_array_equal(assign_points(x, z, w, 2.0), expected)
 
 
 class TestRepairEmpty:
