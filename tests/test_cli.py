@@ -83,6 +83,14 @@ class TestCluster:
         assert "line 2, column 1" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("content", [b"a,b\n1,2,3\n4,5,6\n", b"1,2\n3,\xff4\n5,6\n"])
+    def test_bad_header_width_or_undecodable_byte_is_io_error(self, tmp_path, capsys, content):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(content)
+        code = main(["cluster", "--input", str(path), "--k", "2", "--out", str(tmp_path / "r.json")])
+        assert code == 3
+        assert "error: line" in capsys.readouterr().err
+
 
 class TestGenerate:
     def test_reference_defaults(self, tmp_path):

@@ -1,5 +1,11 @@
+import csv
+import io
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import best_label_agreement
 from mwkmeans import (
@@ -217,3 +223,235 @@ class TestCsvParsing:
         save_csv(d, path)
         assert path.read_text().splitlines()[0] == '"height, cm",w'
         assert load_csv(path).feature_names == ("height, cm", "w")
+
+
+class TestCsvLinesAndHeader:
+    def test_blank_lines_count_towards_the_line_number(self, tmp_path):
+        assert _parse_error(tmp_path, "1,2\n\n3,x\n")[:2] == (3, 1)
+        assert _parse_error(tmp_path, "\n\na,b\n1,2\n3,x\n")[:2] == (5, 1)
+
+    def test_header_narrower_than_rows(self, tmp_path):
+        line, col, message = _parse_error(tmp_path, "a,b\n1,2,3\n")
+        assert (line, col) == (1, 0)
+        assert message == "line 1, column 0: header has 2 cells, rows have 3"
+
+    def test_header_wider_than_rows(self, tmp_path):
+        assert _parse_error(tmp_path, "\na,b,c,d\n1,2,3\n") == (
+            2, 0, "line 2, column 0: header has 4 cells, rows have 3"
+        )
+
+    def test_header_counts_the_label_column(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("x,y,label\n1,2,0\n")
+        assert load_csv(path, has_labels=True).feature_names == ("x", "y")
+        assert _parse_error(tmp_path, "x,y\n1,2,0\n", has_labels=True)[:2] == (1, 0)
+
+    def test_undecodable_byte_is_located(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"1,2\r\n3,\xff4\n")
+        with pytest.raises(CsvParseError) as exc:
+            load_csv(path)
+        assert (exc.value.line, exc.value.col) == (2, 1)
+        assert "0xff" in str(exc.value)
+
+    @pytest.mark.parametrize("sep", ["\x1c", "\x0c", " ", "\x85"])
+    def test_only_csv_line_ends_split_rows(self, tmp_path, sep):
+        assert _parse_error(tmp_path, f"1,2\n3,4{sep}5,6\n") == (
+            2, 0, "line 2, column 0: expected 2 cells, got 3"
+        )
+
+    @pytest.mark.parametrize("token", ["\x1c4", "4\x1d", "\x1e4\x1f"])
+    def test_ascii_separators_are_not_whitespace_around_a_number(self, tmp_path, token):
+        # numpy's C reader would strip them and read 4; float() rejects them
+        assert _parse_error(tmp_path, f"1,2\n3,{token}\n") == (
+            2, 1, f"line 2, column 1: not a number: {token!r}"
+        )
+
+    def test_hash_is_a_cell_not_a_comment(self, tmp_path):
+        assert _parse_error(tmp_path, "1,2\n#3,4\n5,6\n") == (2, 0, "line 2, column 0: not a number: '#3'")
+
+    def test_header_spanning_two_lines(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text('"a\nb",c\n1,2\n3,4\n')
+        loaded = load_csv(path)
+        assert loaded.feature_names == ("a\nb", "c")
+        assert loaded.values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+    def test_float_only_tokens_and_quotes_still_load(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text('a,b,label\n1_000,"2",x\n١,4,y\n')
+        loaded = load_csv(path, has_labels=True)
+        assert loaded.values.tolist() == [[1000.0, 2.0], [1.0, 4.0]]
+        assert loaded.labels.tolist() == ["x", "y"]
+
+    def test_peak_memory_is_a_small_multiple_of_the_values(self, tmp_path):
+        rng = np.random.default_rng(7)
+        d = validate_dataset(
+            rng.normal(size=(20_000, 16)),
+            feature_names=[f"f{j}" for j in range(16)],
+            labels=rng.integers(10, size=20_000),
+        )
+        path = tmp_path / "d.csv"
+        save_csv(d, path)
+        tracemalloc.start()
+        try:
+            loaded = load_csv(path, has_labels=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(loaded.values, d.values)
+        np.testing.assert_array_equal(loaded.labels, d.labels)
+        assert peak < 4 * loaded.values.nbytes
+
+
+class _Malformed(Exception):
+    pass
+
+
+def _reference_load(text, has_labels):
+    """load_csv written plainly: csv.reader rows with physical line
+    numbers, float() per cell, the header rule, the label rule. Returns
+    (values, labels, names) or raises _Malformed(line, col, message)."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    rows, start = [], 1
+    for row in reader:
+        if row:
+            rows.append((start, row))
+        start = reader.line_num + 1
+    if not rows:
+        raise _Malformed(1, 0, "file is empty")
+    line, first = rows[0]
+    names = None
+    if any(not _floats(tok) for tok in (first[:-1] if has_labels else first)):
+        rows = rows[1:]
+        if not rows:
+            raise _Malformed(line + 1, 0, "header without data rows")
+        if len(first) != len(rows[0][1]):
+            raise _Malformed(line, 0, f"header has {len(first)} cells, rows have {len(rows[0][1])}")
+        names = tuple(first[:-1] if has_labels else first)
+    width = len(rows[0][1])
+    n_data = width - 1 if has_labels else width
+    for line, row in rows:
+        if len(row) != width:
+            raise _Malformed(line, 0, f"expected {width} cells, got {len(row)}")
+        for col, tok in enumerate(row[:n_data]):
+            if not _floats(tok):
+                raise _Malformed(line, col, f"not a number: {tok!r}")
+    values = np.array([[float(tok) for tok in row[:n_data]] for _, row in rows])
+    labels = None
+    if has_labels:
+        tokens = [row[-1] for _, row in rows]
+        try:
+            labels = np.array(tokens, dtype=int)
+        except (ValueError, OverflowError):
+            labels = np.array(tokens)
+    return values, labels, names
+
+
+def _floats(token):
+    try:
+        float(token)
+        return True
+    except ValueError:
+        return False
+
+
+_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1e300, -1e300]),
+    st.integers(-(10**6), 10**6).map(float),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_BAD_TOKENS = ["x", "", "#3", "1d5", "0x10", "1__0", "--1", "1e", "nan(1)", '1"5', "\x1c1", "2\x1f"]
+_LABELS = {
+    "int": ["0", "1", "7", "-2", " 3", "+4"],
+    "any": ["0", "1", "1_0", "a", "cat", "1.5", "nan", '"q"', " z "],
+}
+
+
+@st.composite
+def _spelled(draw, value):
+    """A token float() reads as value, in one of several spellings."""
+    plain = repr(value)
+    style = draw(st.sampled_from(["repr", "g17", "spaces", "plus", "upper", "underscore", "quoted"]))
+    if style == "g17":
+        return format(value, ".17g")
+    if style == "spaces":
+        return draw(st.sampled_from([" ", "\t", "  "])) + plain + draw(st.sampled_from(["", " ", "\t"]))
+    if style == "plus" and not plain.startswith("-"):
+        return "+" + plain
+    if style == "upper":
+        return plain.upper()
+    if style == "underscore" and value.is_integer() and 1000 <= abs(value) < 1e16:
+        return f"{int(value):_}"
+    if style == "quoted":
+        return f'"{plain}"'
+    return plain
+
+
+@st.composite
+def _csv_texts(draw):
+    """(text, has_labels): a numeric CSV in varied shapes, sometimes with
+    one malformation (a bad token, a ragged row, a header of the wrong
+    width, two rows joined by a non-csv line break)."""
+    fault = draw(st.sampled_from([None, None, None, "bad", "ragged", "header", "join"]))
+    # a join shows only on a third row, after two rows have set the width
+    n = draw(st.integers(3 if fault == "join" else 1, 5))
+    m = draw(st.integers(1, 3))
+    label_kind = draw(st.sampled_from([None, "int", "any"]))
+    has_labels = label_kind is not None
+    rows = [[draw(_spelled(draw(_VALUES))) for _ in range(m)] for _ in range(n)]
+    if has_labels:
+        for row in rows:
+            row.append(draw(st.sampled_from(_LABELS[label_kind])))
+    header = None
+    if draw(st.booleans()):
+        header = [draw(st.sampled_from(["f", "x y", '"a,b"', '"two\nlines"'])) for _ in range(m)]
+        header += ["label"] if has_labels else []
+    if fault == "bad":
+        row = draw(st.integers(0, n - 1))
+        rows[row][draw(st.integers(0, m - 1))] = draw(st.sampled_from(_BAD_TOKENS))
+    elif fault == "ragged":
+        row = rows[draw(st.integers(0, n - 1))]
+        row.append("5") if draw(st.booleans()) or len(row) <= 2 else row.pop()
+    elif fault == "header" and header is not None:
+        header.append("extra") if draw(st.booleans()) or len(header) == 1 else header.pop()
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    lines = [",".join(row) for row in ([header] if header else []) + rows]
+    parts = []
+    for j, line in enumerate(lines):
+        parts.append(end * draw(st.integers(0, 2)) + line)
+        if j + 1 < len(lines):
+            joined = fault == "join" and j + 1 == len(lines) - 1
+            parts.append(draw(st.sampled_from(["\x1c", " ", "\x0c"])) if joined else end)
+    text = "".join(parts) + draw(st.sampled_from(["", end, end * 2]))
+    return text, has_labels
+
+
+@settings(max_examples=400, deadline=None)
+@given(_csv_texts())
+def test_load_csv_matches_a_plain_csv_reader(tmp_path_factory, case):
+    text, has_labels = case
+    path = tmp_path_factory.mktemp("csv") / "d.csv"
+    path.write_bytes(text.encode())
+    try:
+        expected = _reference_load(text, has_labels)
+    except _Malformed as fault:
+        with pytest.raises(CsvParseError) as exc:
+            load_csv(path, has_labels=has_labels)
+        assert (exc.value.line, exc.value.col, str(exc.value)) == (
+            fault.args[0], fault.args[1], f"line {fault.args[0]}, column {fault.args[1]}: {fault.args[2]}"
+        )
+        return
+    values, labels, names = expected
+    if not np.isfinite(values).all():  # a "nan" label shifted into a feature column
+        with pytest.raises(NonFiniteError):
+            load_csv(path, has_labels=has_labels)
+        return
+    loaded = load_csv(path, has_labels=has_labels)
+    np.testing.assert_array_equal(loaded.values.view(np.uint64), values.view(np.uint64))
+    assert loaded.feature_names == names
+    if labels is None:
+        assert loaded.labels is None
+    else:
+        assert loaded.labels.dtype == labels.dtype
+        assert loaded.labels.tolist() == labels.tolist()
