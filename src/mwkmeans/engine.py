@@ -12,6 +12,20 @@ the dispersion step is one matrix product. Every |x - z|^p, here and in
 the dispersions, is geometry._abs_pow, computed in place. Lloyd's
 k-means baseline is the same loop at p = 2 with every weight frozen at 1.
 
+At p != 2 the centre solve iterates, and while points still move a
+centre only has to steer the next assignment. So the loop solves on the
+solver's coarse grid (geometry._COARSE_GRID of each range), and solves
+at center_tol for good, warm-started from the coarse centres, once
+(a) an iteration reassigns and repairs nothing: it re-solves instead of
+settling; (b) the objective test fires: that iteration re-solves the
+same partition, replaces its dispersions, weights, objective and trace
+entry, and tests again (an observer sees only the final value); or
+(c) the next iteration is the last that max_iter allows. The grids nest
+and the fine answer does not depend on its start, so every run ends
+with the fine centres of its final partition; only earlier trace
+entries and the iteration count can differ from solving fine
+throughout.
+
 At p = 2 the assignment step first screens all k clusters with the
 expansion |x|^2_w - 2 x.(w^2 z) + |z|^2_w, three matrix products. The
 expansion cancels, so it only decides a point when every other cluster
@@ -32,7 +46,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import theory
+from . import geometry, theory
 from .core import (
     ClusteringState,
     Dataset,
@@ -49,12 +63,15 @@ from .weighting import update_weights
 
 @dataclass(frozen=True)
 class EngineEvent:
-    """Per-iteration observability record."""
+    """Per-iteration observability record. center_passes counts the
+    gradient passes of the iteration's centre solves: 0 at p = 2 and on
+    an iteration that keeps its centres."""
 
     iteration: int
     objective: float
     n_reassigned: int
     n_empty_repaired: int
+    center_passes: int = 0
 
 
 Observer = Callable[[EngineEvent], None]
@@ -169,11 +186,20 @@ def _screen_p2(x, z, wp):
 
 
 def update_centroids(
-    dataset, assignments, k: int, p: float, center_tol: float, start=None
+    dataset,
+    assignments,
+    k: int,
+    p: float,
+    center_tol: float,
+    start=None,
+    *,
+    coarse: bool = False,
+    _passes: list | None = None,
 ) -> np.ndarray:
     """Per-cluster, per-feature Minkowski centres, all solved in one pass
     over the points sorted by cluster. start (k x m), typically the
-    previous centroids, warm-starts the solver.
+    previous centroids, warm-starts the solver; coarse and _passes go to
+    minkowski_center_columns.
 
     Raises DimensionMismatchError unless there is one assignment in
     [0, k) per point, and EmptyClusterError if any cluster has no
@@ -188,7 +214,9 @@ def update_centroids(
     # sorts small integer types, and a stable sort's permutation is unique
     order = np.argsort(assignments.astype(np.min_scalar_type(k - 1)), kind="stable")
     offsets = np.cumsum(counts) - counts
-    return minkowski_center_columns(x[order], p, center_tol, offsets, start)
+    return minkowski_center_columns(
+        x[order], p, center_tol, offsets, start, coarse=coarse, _passes=_passes
+    )
 
 
 def _repair_empty(x, assignments, centroids, weights, p, k) -> int:
@@ -217,6 +245,12 @@ def _objective(weights: np.ndarray, dispersions: DispersionMatrix, p: float) -> 
     return float(np.sum(weights**p * dispersions.d))
 
 
+def _stalled(prev: float, objective: float, tol: float) -> bool:
+    """The objective test: the relative change from prev is at most tol."""
+    rel = abs(prev - objective) / prev if prev > 0 else (0.0 if objective == 0 else np.inf)
+    return rel <= tol
+
+
 WeightStep = Callable[[DispersionMatrix, float], np.ndarray]
 
 
@@ -237,6 +271,16 @@ def _alternate(
     trace: list[float] = []
     repair_iters: list[int] = []
     converged = False
+    # only the iterative solver (p != 2) has a grid to coarsen; without
+    # a coarse grid the loop solves fine throughout
+    coarse = p != 2.0 and geometry._COARSE_GRID > 0.0
+
+    def block_step(assignments, start, on_coarse_grid, passes):
+        centroids = update_centroids(
+            x, assignments, k, p, config.center_tol, start, coarse=on_coarse_grid, _passes=passes
+        )
+        dispersions = compute_dispersions(x, assignments, centroids, p)
+        return centroids, dispersions, weight_step(dispersions, p)
 
     for it in range(config.max_iter):
         assignments = assign_points(x, centroids, weights, p)
@@ -245,26 +289,25 @@ def _alternate(
         # the same assignments as last time give the same centres,
         # dispersions and weights, so they are kept
         settled = prev_assign is not None and n_reassigned == 0 and repairs == 0
+        if coarse and (settled or it == config.max_iter - 1):  # rules (a) and (c)
+            coarse = settled = False
+        passes: list[int] = []
         if not settled:
-            centroids = update_centroids(x, assignments, k, p, config.center_tol, centroids)
-            dispersions = compute_dispersions(x, assignments, centroids, p)
-            weights = weight_step(dispersions, p)
+            centroids, dispersions, weights = block_step(assignments, centroids, coarse, passes)
         objective = _objective(weights, dispersions, p)
+        if coarse and trace and _stalled(trace[-1], objective, config.tol_objective):  # rule (b)
+            coarse = False
+            centroids, dispersions, weights = block_step(assignments, centroids, False, passes)
+            objective = _objective(weights, dispersions, p)
         trace.append(objective)
         if repairs:
             repair_iters.append(it)
         if observer is not None:
-            observer(EngineEvent(it, objective, n_reassigned, repairs))
+            observer(EngineEvent(it, objective, n_reassigned, repairs, sum(passes)))
         prev_assign = assignments
-        if settled:
+        if settled or (len(trace) > 1 and _stalled(trace[-2], objective, config.tol_objective)):
             converged = True
             break
-        if len(trace) > 1:
-            prev = trace[-2]
-            rel = abs(prev - objective) / prev if prev > 0 else (0.0 if objective == 0 else np.inf)
-            if rel <= config.tol_objective:
-                converged = True
-                break
 
     state = ClusteringState(
         assignments=assignments,

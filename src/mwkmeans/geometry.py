@@ -14,8 +14,14 @@ with Chandrupatla's inverse-quadratic/bisection hybrid (Chandrupatla
 it bisects. Every evaluation lies on the grid that bisection of [min,
 max] down to center_tol would visit, and the result is the midpoint of
 the grid cell holding the root, so it does not depend on the start.
-p = 2 takes the closed-form mean. All functions here are pure; _abs_pow
-is the one |x - z|^p kernel of the package, used by every caller.
+A coarse solve floors that grid at _COARSE_GRID of [min, max]. Both
+grids are powers of two of the same range, so the fine grid refines the
+coarse one: the coarse answer lies within half a coarse cell of the fine
+one, and a fine solve started from it returns the cold fine answer. The
+engine solves coarse while points still move and fine at the end (see
+engine). p = 2 takes the closed-form mean. All functions here are pure;
+_abs_pow is the one |x - z|^p kernel of the package, used by every
+caller.
 """
 from __future__ import annotations
 
@@ -39,6 +45,9 @@ _IQI_MIN_P = 1.15
 _IQI_PASSES = 60
 _OVERSHOOT = 1.5  # expansion steps aim this far past the estimated root
 _GROWTH = 2.0  # and grow at least this fast
+# The grid of a coarse solve on the [0, 1] scale. At 2^-17 and 2^-14
+# some reference runs end in another partition; at 2^-20 none did.
+_COARSE_GRID = 2.0**-20
 
 
 @dataclass(frozen=True)
@@ -82,7 +91,7 @@ def center_gradient(samples, p: float, z: float) -> float:
     return float(np.sum(p * np.sign(d) * _abs_pow(d, p - 1)))
 
 
-def _solve_blocks(matrix, offsets, p: float, center_tol: float, start=None):
+def _solve_blocks(matrix, offsets, p: float, center_tol: float, start=None, coarse=False):
     """Minkowski centres of every (block, column) cell of a matrix whose
     rows fall into contiguous blocks starting at the given offsets.
 
@@ -92,15 +101,15 @@ def _solve_blocks(matrix, offsets, p: float, center_tol: float, start=None):
     sample's term, at least 2^-(p-1), stays a normal float. The grid is
     the one bisection of [0, 1] visits on its way to center_tol: the
     largest power of 2 no wider than center_tol, or than 4 machine
-    epsilons of the range. From its start (clipped into [min, max]; the
-    block mean without one) each cell steps towards the root with
-    growing steps until f' changes sign, then takes Chandrupatla steps
-    (inverse quadratic interpolation where it is safe, bisection
-    otherwise) with t kept a grid step from the ends. Every point it
-    evaluates is rounded to the grid, and it stops when its sign-change
-    bracket is one grid cell wide. All cells move in lock step, one
-    pass over the matrix per gradient evaluation. p = 2 takes the
-    closed-form mean. Returns the bracket midpoints and widths, each of
+    epsilons of the range; a coarse solve floors it at _COARSE_GRID.
+    From its start (clipped into [min, max]; the block mean without one)
+    each cell steps towards the root with growing steps until f' changes
+    sign, then takes Chandrupatla steps (inverse quadratic interpolation
+    where it is safe, bisection otherwise) with t kept a grid step from
+    the ends. Every point it evaluates is rounded to the grid, and it
+    stops when its sign-change bracket is one grid cell wide. All cells
+    move in lock step, one pass over the matrix per gradient evaluation.
+    p = 2 takes the closed-form mean. Returns the bracket midpoints and widths, each of
     shape (blocks, m), and the number of passes.
     """
     if not 1.0 < p <= _MAX_P:
@@ -120,6 +129,8 @@ def _solve_blocks(matrix, offsets, p: float, center_tol: float, start=None):
     u = (0.5 * matrix - np.repeat(0.5 * lo, sizes, axis=0)) / np.repeat(scale, sizes, axis=0)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         tol = np.fmax(0.5 * center_tol / half, 4.0 * np.finfo(float).eps)
+        if coarse:
+            tol = np.fmax(tol, _COARSE_GRID)
         # the bisection grid on [0, 1]: the largest power of 2 <= tol
         grid = np.where(tol < 1.0, np.ldexp(1.0, np.frexp(np.fmin(tol, 1.0))[1] - 1), 1.0)
         if start is None:
@@ -218,7 +229,14 @@ def minkowski_center(samples, p: float, center_tol: float = DEFAULT_CENTER_TOL) 
 
 
 def minkowski_center_columns(
-    matrix: np.ndarray, p: float, center_tol: float = DEFAULT_CENTER_TOL, offsets=None, start=None
+    matrix: np.ndarray,
+    p: float,
+    center_tol: float = DEFAULT_CENTER_TOL,
+    offsets=None,
+    start=None,
+    *,
+    coarse: bool = False,
+    _passes: list | None = None,
 ) -> np.ndarray:
     """Column-wise Minkowski centres of an (n, m) matrix.
 
@@ -229,7 +247,9 @@ def minkowski_center_columns(
     clustering engine passes its points sorted by cluster this way.
     start, of the result's shape, warm-starts the solver (the engine
     passes the previous iteration's centres); it changes how many passes
-    the solver makes, not its answer.
+    the solver makes, not its answer. coarse=True solves on the grid
+    _COARSE_GRID of each range where that is coarser than center_tol.
+    _passes, a list, receives the solver's number of gradient passes.
     """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.shape[0] == 0:
@@ -243,5 +263,7 @@ def minkowski_center_columns(
         if start.shape != shape:
             raise DimensionMismatchError(f"start has shape {start.shape}, expected {shape}")
         start = start.reshape(blocks.size, matrix.shape[1])
-    z, _, _ = _solve_blocks(matrix, blocks, p, center_tol, start)
+    z, _, passes = _solve_blocks(matrix, blocks, p, center_tol, start, coarse)
+    if _passes is not None:
+        _passes.append(passes)
     return z[0] if offsets is None else z

@@ -8,9 +8,12 @@ from hypothesis import strategies as st
 from helpers import best_label_agreement, brute_force_objective, grid_search_center, two_blob_dataset
 from mwkmeans import (
     MwkConfig,
+    SyntheticSpec,
     assign_points,
     compute_dispersions,
+    generate,
     objective_via_dispersions,
+    range_normalise,
     run,
     run_classic_kmeans,
     run_restarts,
@@ -18,7 +21,7 @@ from mwkmeans import (
     update_weights,
     validate_dataset,
 )
-from mwkmeans import engine
+from mwkmeans import engine, geometry
 from mwkmeans.engine import EngineEvent
 from mwkmeans.errors import DimensionMismatchError, EmptyClusterError, InvalidConfigError
 
@@ -387,6 +390,93 @@ class TestRun:
         assert len(solves) == report.iterations - 1
         assert len(report.objective_trace) == report.iterations == len(events)
         assert report.objective_trace[-1] == report.objective_trace[-2]
+
+    def test_center_passes_observed(self):
+        """Each event counts its iteration's solver passes: some at
+        p = 1.1, none at p = 2 (the closed-form mean) nor on the
+        iteration that keeps its centres."""
+        x, _ = two_blob_dataset(n_per_blob=30, separation=8.0, seed=2)
+        for p in (1.1, 2.0):
+            events = []
+            run(validate_dataset(x), MwkConfig(k=2, p=p, tol_objective=0.0, seed=0), events.append)
+            passes = [e.center_passes for e in events]
+            assert events[-1].n_reassigned == 0 and passes[-1] == 0
+            if p == 2.0:
+                assert passes == [0] * len(events)
+            else:
+                assert sum(passes) > 0 and min(passes[:-1]) > 0
+
+
+def _reference_shape(seed, n_points=1000, n_informative=4, n_noise=4, k_true=3):
+    """A range-normalised dataset of the reference protocol's shape."""
+    dataset, _ = generate(SyntheticSpec(n_points, n_informative, n_noise, k_true, seed=seed))
+    return range_normalise(dataset)[0]
+
+
+class TestCoarseToFine:
+    """While points move the engine solves centres on the coarse grid
+    geometry._COARSE_GRID; every run still ends with the fine centres of
+    its final partition, and the coarse grid changes no answer."""
+
+    @pytest.mark.parametrize("p", [1.1, 1.5, 5.0])
+    @pytest.mark.parametrize(
+        "stop, overrides",
+        [
+            ("no-reassign", {"tol_objective": 0.0}),
+            ("objective", {"tol_objective": 1e-2}),
+            ("max-iter", {"max_iter": 1}),
+            ("max-iter", {"max_iter": 2}),
+            ("max-iter", {"max_iter": 3}),
+        ],
+    )
+    def test_final_centres_are_the_fine_solve_of_the_final_partition(self, p, stop, overrides):
+        dataset = _reference_shape(0, n_points=300)
+        config = MwkConfig(k=3, p=p, seed=5, **overrides)
+        events = []
+        report = run(dataset, config, events.append)
+        # the run stopped the way this case is about
+        if stop == "max-iter":
+            assert not report.converged and report.iterations == config.max_iter
+        else:
+            assert report.converged
+            assert (events[-1].n_reassigned == 0) == (stop == "no-reassign")
+        if stop == "no-reassign":  # the fine centres reassigned nothing
+            assert events[-1].center_passes == 0
+        state = report.final_state
+        fine = update_centroids(dataset, state.assignments, 3, p, config.center_tol)
+        np.testing.assert_array_equal(state.centroids, fine)
+
+    @pytest.mark.parametrize(
+        "shape, p, seeds",
+        [
+            ({"seed": 0}, 1.1, range(3)),
+            ({"seed": 0}, 1.5, range(3)),
+            ({"seed": 0}, 5.0, range(3)),
+            ({"seed": 1}, 1.1, range(3)),
+            ({"seed": 1}, 1.5, range(3)),
+            ({"seed": 1}, 5.0, range(3)),
+            # here continuing into a fine iteration, in place of
+            # re-solving when the objective test fires, ends elsewhere
+            ({"seed": 0, "n_points": 5000, "n_informative": 8, "n_noise": 8, "k_true": 10}, 1.5, [2]),
+        ],
+    )
+    def test_coarse_grid_does_not_change_the_answer(self, monkeypatch, shape, p, seeds):
+        dataset = _reference_shape(**shape)
+        k = shape.get("k_true", 3)
+        for seed in seeds:
+            config = MwkConfig(k=k, p=p, seed=seed)
+            coarse = run(dataset, config)
+            with monkeypatch.context() as patch:
+                patch.setattr(geometry, "_COARSE_GRID", 0.0)  # no coarse phase: fine throughout
+                fine = run(dataset, config)
+            for name in ("assignments", "centroids", "weights"):
+                np.testing.assert_array_equal(
+                    getattr(coarse.final_state, name), getattr(fine.final_state, name)
+                )
+            assert coarse.final_state.objective == fine.final_state.objective
+            np.testing.assert_array_equal(coarse.dispersions.d, fine.dispersions.d)
+            assert coarse.bounds == fine.bounds
+            assert coarse.normalised_objective == fine.normalised_objective
 
 
 class TestStepOptimality:
