@@ -20,11 +20,15 @@ at center_tol for good, warm-started from the coarse centres, once
 settling; (b) the objective test fires: that iteration re-solves the
 same partition, replaces its dispersions, weights, objective and trace
 entry, and tests again (an observer sees only the final value); or
-(c) the next iteration is the last that max_iter allows. The grids nest
-and the fine answer does not depend on its start, so every run ends
-with the fine centres of its final partition; only earlier trace
-entries and the iteration count can differ from solving fine
-throughout.
+(c) the next iteration is the last that max_iter allows. A guard does
+what rule (b) does when a coarse iteration that repaired nothing raises
+the objective above the last trace entry: coarse centres (float32
+inside geometry's window) may be off by up to two coarse cells, and a
+fine solve of the same partition gives an objective no higher than the
+last one (up to center_tol), so the trace never rises outside repairs. The grids nest and
+the fine answer does not depend on its start, so every run ends with
+the fine centres of its final partition; only earlier trace entries and
+the iteration count can differ from solving fine throughout.
 
 At p = 2 the assignment step first screens all k clusters with the
 expansion |x|^2_w - 2 x.(w^2 z) + |z|^2_w, three matrix products. The
@@ -65,13 +69,16 @@ from .weighting import update_weights
 class EngineEvent:
     """Per-iteration observability record. center_passes counts the
     gradient passes of the iteration's centre solves: 0 at p = 2 and on
-    an iteration that keeps its centres."""
+    an iteration that keeps its centres. resolved_fine is True when rule
+    (b) or the guard (see the module docstring) re-solved the iteration's
+    partition fine; center_passes includes that re-solve."""
 
     iteration: int
     objective: float
     n_reassigned: int
     n_empty_repaired: int
     center_passes: int = 0
+    resolved_fine: bool = False
 
 
 Observer = Callable[[EngineEvent], None]
@@ -295,7 +302,12 @@ def _alternate(
         if not settled:
             centroids, dispersions, weights = block_step(assignments, centroids, coarse, passes)
         objective = _objective(weights, dispersions, p)
-        if coarse and trace and _stalled(trace[-1], objective, config.tol_objective):  # rule (b)
+        # rule (b) and the guard
+        resolved_fine = coarse and bool(trace) and (
+            _stalled(trace[-1], objective, config.tol_objective)
+            or (objective > trace[-1] and not repairs)
+        )
+        if resolved_fine:
             coarse = False
             centroids, dispersions, weights = block_step(assignments, centroids, False, passes)
             objective = _objective(weights, dispersions, p)
@@ -303,7 +315,7 @@ def _alternate(
         if repairs:
             repair_iters.append(it)
         if observer is not None:
-            observer(EngineEvent(it, objective, n_reassigned, repairs, sum(passes)))
+            observer(EngineEvent(it, objective, n_reassigned, repairs, sum(passes), resolved_fine))
         prev_assign = assignments
         if settled or (len(trace) > 1 and _stalled(trace[-2], objective, config.tol_objective)):
             converged = True

@@ -16,12 +16,18 @@ max] down to center_tol would visit, and the result is the midpoint of
 the grid cell holding the root, so it does not depend on the start.
 A coarse solve floors that grid at _COARSE_GRID of [min, max]. Both
 grids are powers of two of the same range, so the fine grid refines the
-coarse one: the coarse answer lies within half a coarse cell of the fine
-one, and a fine solve started from it returns the cold fine answer. The
-engine solves coarse while points still move and fine at the end (see
-engine). p = 2 takes the closed-form mean. All functions here are pure;
-_abs_pow is the one |x - z|^p kernel of the package, used by every
-caller.
+coarse one: in float64 the coarse answer lies within half a coarse cell
+of the fine one, and a fine solve started from it returns the cold fine
+answer. The engine solves coarse while points still move and fine at
+the end (see engine). Inside the float32 window, 1.09375 <= p <= 64, a
+coarse solve evaluates f' in float32 with float64 sums (mixed precision
+as in Higham & Mary 2022, Acta Numerica 31:347): that moves its root by
+at most 2^-23 (1 + 1/(p - 1)) of the range, so its answer lies within
+half a coarse cell plus that shift of the fine one, under two cells;
+the fine solve from it is unchanged. p = 2 takes the closed-form mean.
+All functions here are pure; _abs_pow is the one |x - z|^p kernel of
+the package, used by every caller (a float32 pass at p = 5 squares
+twice instead).
 """
 from __future__ import annotations
 
@@ -48,6 +54,32 @@ _GROWTH = 2.0  # and grow at least this fast
 # The grid of a coarse solve on the [0, 1] scale. At 2^-17 and 2^-14
 # some reference runs end in another partition; at 2^-20 none did.
 _COARSE_GRID = 2.0**-20
+# The float32 window of coarse passes (see _solve_blocks). A float32
+# pass moves the root of f' by at most s(p) = 2^-23 (1 + 1/(p - 1)) of
+# the range: each rounding of a term |d|^q (q = p - 1, |d| <= 1) equals
+# an exact term with its sample moved, and the root, monotone in each
+# sample, moves by at most the largest such move: 2^-25 for rounding
+# the sample, 2^-24 |d| for the difference, 2^-24 |d ln d| <= 2^-24 / e
+# for rounding q, and 2^-23 |d| / q for a power within one ulp (numpy's
+# float32 power measures within 1.01 ulp, relative error below
+# 0.88 x 2^-23, which leaves room for the float64 sums of blocks under
+# 2^26 rows); at q = 4 the two squares err by 3 x 2^-24 and q is exact.
+# At the lower end, 1 + 3/32, s is 1.46 cells of 2^-20, so a coarse
+# answer stays under 1.96 cells from the fine one; below it s grows as
+# 2^-23 / q, to 125 cells at p = 1.001. Above the upper end, terms
+# under float32's normal range (2^-126, each rounded by up to 2^-149)
+# weigh against a farthest term of only 2^-q, and with f'' >= q 2^(1-q)
+# n of them move the root by up to n 2^(q-150) / q: half a cell for
+# 1000 rows at p = 127, but under 2^-47 at p <= 64 for blocks under
+# 2^40 rows.
+_F32_MIN_P = 1.09375
+_F32_MAX_P = 64.0
+
+
+def _in_f32_window(p: float) -> bool:
+    # s(p) above needs cells of at least 2^-20; without a coarse grid a
+    # coarse solve is a fine one, in float64
+    return _F32_MIN_P <= p <= _F32_MAX_P and _COARSE_GRID >= 2.0**-20
 
 
 @dataclass(frozen=True)
@@ -111,6 +143,17 @@ def _solve_blocks(matrix, offsets, p: float, center_tol: float, start=None, coar
     move in lock step, one pass over the matrix per gradient evaluation.
     p = 2 takes the closed-form mean. Returns the bracket midpoints and widths, each of
     shape (blocks, m), and the number of passes.
+
+    A coarse solve inside the float32 window (_F32_MIN_P = 1.09375 <= p
+    <= _F32_MAX_P = 64) keeps u, the deviations and their powers in
+    float32, where its grid points are exact, and sums f' and the Newton
+    slope in float64; at q = 4 the power is two squares. Every other
+    pass keeps _abs_pow's float64 bits. Rounding then moves the root by
+    at most s = 2^-23 (1 + 1/(p - 1)) of the range (derived at
+    _F32_MIN_P), so a coarse answer lies within (G / 2 + s) (max - min)
+    of the fine one (G its grid, plus float64 rounding): under two
+    coarse cells, against half a cell in float64. Outside the window
+    the coarse solve is float64, bit for bit as before.
     """
     if not 1.0 < p <= _MAX_P:
         raise InvalidConfigError(f"the centre solver needs 1 < p <= {_MAX_P:g}, got p={p}")
@@ -138,16 +181,34 @@ def _solve_blocks(matrix, offsets, p: float, center_tol: float, start=None, coar
         else:  # fmin/fmax also send a NaN start into [0, 1]
             z = np.fmin(np.fmax((0.5 * start - 0.5 * lo) / scale, 0.0), 1.0)
     q = p - 1.0
+    single = coarse and _in_f32_window(p)
+    if single:
+        u = u.astype(np.float32)  # the coarse grid points are exact in float32
 
-    def powers(z):
-        d = np.repeat(z, sizes, axis=0) - u
-        return d, _abs_pow(d, q)
+    bits = np.uint32 if single else np.uint64
+    sign_bit = np.array(-0.0, u.dtype).view(bits)
+
+    def terms(z):
+        """|d|^q and the f' terms sign(d) |d|^q for d = z - u; the latter
+        overwrite d, whose sign bit ORed into |d|^q >= 0 gives the bits
+        of np.copysign at a fraction of its cost."""
+        d = np.repeat(z.astype(u.dtype, copy=False), sizes, axis=0)
+        d -= u
+        if single and q == 4.0:
+            dq = np.square(d)
+            np.square(dq, out=dq)
+        else:
+            dq = _abs_pow(d, q)
+        signed = d.view(bits)
+        signed &= sign_bit
+        signed |= dq.view(bits)
+        return dq, d
 
     # Every point evaluated lies on the grid, so each cell ends in one
     # grid cell, the one holding the root, whatever its start was.
     x1 = np.rint(z / grid) * grid
-    d, dq = powers(x1)
-    f1 = np.add.reduceat(np.copysign(dq, d), offsets, axis=0)
+    dq, signed = terms(x1)
+    f1 = np.add.reduceat(signed, offsets, axis=0, dtype=float)
     passes = 1
     # (x1, f1) is the newest point, (x2, f2) the far end of the bracket
     # and (x3, f3) the point dropped last. Until a cell's bracket closes,
@@ -163,7 +224,7 @@ def _solve_blocks(matrix, offsets, p: float, center_tol: float, start=None, coar
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         # First step: Newton's, with f'' estimated from the mean |d|^q as
         # if every deviation were equal.
-        slope = q * n * (np.add.reduceat(dq, offsets, axis=0) / n) ** ((q - 1.0) / q)
+        slope = q * n * (np.add.reduceat(dq, offsets, axis=0, dtype=float) / n) ** ((q - 1.0) / q)
         step = _OVERSHOOT * np.abs(f1) / slope
         while True:
             width = np.abs(x2 - x1)
@@ -187,8 +248,7 @@ def _solve_blocks(matrix, offsets, p: float, center_tol: float, start=None, coar
                 clip = grid / width
                 t = np.minimum(np.maximum(t, clip), 1.0 - clip)
             xt = np.where(active, np.rint((x1 + t * (x2 - x1)) / grid) * grid, x1)
-            d, dq = powers(xt)
-            ft = np.add.reduceat(np.copysign(dq, d, out=dq), offsets, axis=0)
+            ft = np.add.reduceat(terms(xt)[1], offsets, axis=0, dtype=float)
             passes += 1
             same = (ft < 0.0) == (f1 < 0.0)
             if searching:

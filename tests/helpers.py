@@ -61,3 +61,30 @@ def two_blob_dataset(n_per_blob: int = 100, separation: float = 10.0, seed: int 
     values = np.vstack([a, b])
     labels = np.array([0] * n_per_blob + [1] * n_per_blob)
     return values, labels
+
+
+def coarse_cell(column, center_tol: float) -> float:
+    """The width of geometry's coarse grid cell for one column: the
+    largest power of 2 no wider than 0.5 center_tol / half, 4 machine
+    epsilons or geometry._COARSE_GRID, whichever is widest, times the
+    range."""
+    from mwkmeans import geometry
+
+    lo, hi = float(np.min(column)), float(np.max(column))
+    half = 0.5 * hi - 0.5 * lo
+    if half == 0.0:
+        return 0.0
+    tol = max(0.5 * center_tol / half, 4 * np.finfo(float).eps, geometry._COARSE_GRID)
+    return min(2.0 ** (np.frexp(tol)[1] - 1), 1.0) * (hi - lo)
+
+
+def coarse_bound(column, p: float, center_tol: float) -> float:
+    """How far geometry's coarse answer for one column may lie from its
+    fine answer: half a coarse cell plus, inside the float32 window, the
+    root shift 2^-23 (1 + 1/(p - 1)) of the range derived in geometry,
+    plus the rounding of mapping back."""
+    from mwkmeans import geometry
+
+    lo, hi = float(np.min(column)), float(np.max(column))
+    shift = 2.0**-23 * (1.0 + 1.0 / (p - 1.0)) if geometry._in_f32_window(p) else 0.0
+    return coarse_cell(column, center_tol) / 2 + shift * (hi - lo) + 4 * np.spacing(max(abs(lo), abs(hi)))

@@ -478,6 +478,50 @@ class TestCoarseToFine:
             assert coarse.bounds == fine.bounds
             assert coarse.normalised_objective == fine.normalised_objective
 
+    def test_guard_keeps_the_trace_non_increasing(self, monkeypatch):
+        """On a 2^-4 coarse grid, 20 of these 45 runs raise their trace
+        outside repairs without the guard. With it, a coarse iteration
+        whose objective rises above the last trace entry re-solves its
+        partition fine, so the trace never rises outside repairs (within
+        perfbench's relative 1e-9) and the run still ends with the fine
+        centres of its final partition."""
+        monkeypatch.setattr(geometry, "_COARSE_GRID", 2.0**-4)
+        objectives = []  # every objective the loop computes, a re-solve's too
+        plain_objective = engine._objective
+
+        def recording(*args):
+            objectives.append(plain_objective(*args))
+            return objectives[-1]
+
+        monkeypatch.setattr(engine, "_objective", recording)
+        fired = 0
+        for d in range(3):
+            dataset = _reference_shape(d, n_points=300)
+            for p in (1.1, 1.5, 5.0):
+                for seed in range(5):
+                    config = MwkConfig(k=3, p=p, seed=seed)
+                    events = []
+                    objectives.clear()
+                    report = run(dataset, config, events.append)
+                    trace, repairs = report.objective_trace, set(report.repair_iterations)
+                    for t in range(1, len(trace)):
+                        if t not in repairs:
+                            assert trace[t] <= trace[t - 1] * (1 + 1e-9)
+                    fine = update_centroids(dataset, report.final_state.assignments, 3, p, config.center_tol)
+                    np.testing.assert_array_equal(report.final_state.centroids, fine)
+                    # the guard, not rule (b), fired where a re-solved
+                    # iteration's coarse objective rose by more than the
+                    # objective test's tolerance
+                    computed = iter(objectives)
+                    for t, event in enumerate(events):
+                        coarse = next(computed)
+                        if event.resolved_fine:
+                            next(computed)
+                            fired += not engine._stalled(trace[t - 1], coarse, config.tol_objective) and (
+                                coarse > trace[t - 1]
+                            )
+        assert fired > 0
+
 
 class TestStepOptimality:
     def test_assignment_step_is_pointwise_optimal(self):

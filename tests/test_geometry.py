@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 
-from helpers import grid_search_center
+from helpers import coarse_bound, grid_search_center
 from mwkmeans import (
     center_gradient,
     center_objective,
+    geometry,
     minkowski_center,
     weighted_minkowski_distance,
 )
 from mwkmeans.errors import DimensionMismatchError, InvalidConfigError, NonFiniteError
-from mwkmeans.geometry import DEFAULT_CENTER_TOL, _abs_pow, minkowski_center_columns
+from mwkmeans.geometry import DEFAULT_CENTER_TOL, _abs_pow, _solve_blocks, minkowski_center_columns
 
 
 class TestAbsPow:
@@ -202,3 +203,60 @@ class TestSolverRobustness:
     def test_start_shape_checked(self):
         with pytest.raises(DimensionMismatchError):
             minkowski_center_columns(np.zeros((4, 2)), 1.5, start=np.zeros(3))
+
+
+class TestFloat32Window:
+    """Coarse solves run in float32 for geometry._F32_MIN_P <= p <=
+    geometry._F32_MAX_P and in float64, bit for bit as before, outside.
+    Hypothesis alone did not find the columns where a float32 coarse
+    answer leaves half a coarse cell of the fine one, so these are fixed
+    seeded columns, on both sides of each end of the window."""
+
+    @staticmethod
+    def columns():
+        rng = np.random.default_rng(20)
+        yield np.array([0.0, 1.0])
+        for n in (2, 5, 50, 333):
+            for _ in range(4):
+                yield rng.uniform(-1e3, 1e3, n)
+        yield rng.normal(size=1000)
+        yield rng.choice([-1.0, 0.0, 0.25, 2.0], 50)
+
+    @staticmethod
+    def solve(column, p, coarse):
+        blocks = np.zeros(1, dtype=int)
+        return _solve_blocks(column[:, None], blocks, p, DEFAULT_CENTER_TOL, coarse=coarse)[0][0, 0]
+
+    @pytest.mark.parametrize(
+        "p",
+        [1.001, 1.00390625, np.nextafter(geometry._F32_MIN_P, 1.0),
+         np.nextafter(geometry._F32_MAX_P, 65.0), 127.0, 128.0, 200.0, 1023.0],
+    )
+    def test_outside_the_window_coarse_solves_are_float64(self, monkeypatch, p):
+        assert not geometry._in_f32_window(p)
+        coarse = [self.solve(c, p, True) for c in self.columns()]
+        monkeypatch.setattr(geometry, "_F32_MAX_P", 0.0)  # float64 at every p
+        assert coarse == [self.solve(c, p, True) for c in self.columns()]
+
+    @pytest.mark.parametrize("p", [geometry._F32_MIN_P, 1.1, 1.5, 5.0, geometry._F32_MAX_P, 127.0])
+    def test_coarse_answers_meet_the_derived_bound(self, p):
+        for column in self.columns():
+            fine = self.solve(column, p, False)
+            assert abs(self.solve(column, p, True) - fine) <= coarse_bound(column, p, DEFAULT_CENTER_TOL)
+
+    @pytest.mark.parametrize("p", [1.1, 1.5, 5.0])
+    def test_only_coarse_passes_in_the_window_are_float32(self, monkeypatch, p):
+        dtypes = []
+
+        def spy(a, q, out=None):
+            dtypes.append(a.dtype)
+            return _abs_pow(a, q, out)
+
+        monkeypatch.setattr(geometry, "_abs_pow", spy)
+        column = np.random.default_rng(21).normal(size=100)
+        self.solve(column, p, False)
+        assert dtypes and set(dtypes) == {np.dtype(float)}
+        dtypes.clear()
+        self.solve(column, p, True)
+        # at q = 4 two squares replace the power
+        assert set(dtypes) == (set() if p == 5.0 else {np.dtype(np.float32)})

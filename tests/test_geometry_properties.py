@@ -5,14 +5,17 @@ exponent the solver accepts from 1 + 1e-6 to 1000 and from any start,
 inside or outside [min, max]: the warm-started result agrees with the
 cold one within center_tol, and every result lies in [min, max]. The
 coarse grid nests in the fine one: a fine solve started from the coarse
-answer returns the cold fine answer, and the coarse answer lies within
-a coarse grid cell (times the half-range) of it, for 1 < p <= 1023 on
-narrow columns and on columns up to 1e300.
+answer returns the cold fine answer, for 1 < p <= 1023 on narrow columns
+and on columns up to 1e300. The coarse answer lies within half a coarse
+cell of it outside the float32 window, and within the derived bound
+helpers.coarse_bound (under two cells) inside it, where an answer two
+cells off fails that bound.
 """
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import coarse_bound, coarse_cell
 from mwkmeans import geometry
 from mwkmeans.geometry import DEFAULT_CENTER_TOL, _solve_blocks, minkowski_center_columns
 
@@ -75,5 +78,15 @@ def test_fine_solve_from_the_coarse_answer_is_the_cold_fine_answer(samples, p):
     assert polished.tobytes() == fine.tobytes()
     lo, hi = column.min(), column.max()
     half = 0.5 * hi - 0.5 * lo
-    # half a coarse cell of [lo, hi], plus the rounding of mapping back
-    assert abs(coarse[0, 0] - fine[0, 0]) <= geometry._COARSE_GRID * half + 4 * np.spacing(max(abs(lo), abs(hi)))
+    if not geometry._in_f32_window(p):
+        # half a coarse cell of [lo, hi], plus the rounding of mapping back
+        assert abs(coarse[0, 0] - fine[0, 0]) <= geometry._COARSE_GRID * half + 4 * np.spacing(max(abs(lo), abs(hi)))
+        return
+    bound = coarse_bound(column, p, DEFAULT_CENTER_TOL)
+    assert abs(coarse[0, 0] - fine[0, 0]) <= bound
+    # the bound stays under two coarse cells: an answer two cells
+    # further from the fine one fails it wherever a cell is resolvable
+    cells = 2 * coarse_cell(column, DEFAULT_CENTER_TOL)
+    if cells > 16 * np.spacing(max(abs(lo), abs(hi))):
+        away = np.copysign(cells, coarse[0, 0] - fine[0, 0])
+        assert abs(coarse[0, 0] + away - fine[0, 0]) > bound
