@@ -156,6 +156,16 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_generate_flags(sub):
     sub.add_argument("--n-points", type=int, default=1000)
     sub.add_argument("--informative", type=int, default=4)
@@ -194,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_exp = sub.add_parser("experiment", help="dataset x exponent x restart sweep")
     _add_generate_flags(p_exp)
-    p_exp.add_argument("--datasets", type=int, default=10)
+    p_exp.add_argument("--datasets", type=_positive_int, default=10)
     p_exp.add_argument("--p", type=float, nargs="+", default=DEFAULT_P_VALUES)
     p_exp.add_argument("--k", type=int, default=3)
     _add_run_flags(p_exp)

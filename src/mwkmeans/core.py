@@ -4,6 +4,8 @@ All matrices are float64 numpy arrays, indexed 0-based: rows are points
 or clusters, columns are features. Objects are frozen after construction
 and hold read-only copies of the arrays they are given, so they can be
 shared across concurrent restarts and never freeze the caller's arrays.
+The one exception is Dataset._adopt, through which the package hands
+over arrays it has just built and holds no other reference to.
 """
 from __future__ import annotations
 
@@ -34,6 +36,14 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _seal(a: np.ndarray) -> np.ndarray:
+    """a itself, C-contiguous and made read-only: no copy unless a is not
+    C-contiguous. Only for arrays that nothing outside the package holds."""
+    a = np.ascontiguousarray(a)
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class Dataset:
     """An n x m matrix of finite feature values.
@@ -43,6 +53,11 @@ class Dataset:
     that rejects malformed input: with EmptyMatrixError, RaggedRowsError,
     or NonNumericError or NonFiniteError naming the first offending cell
     in row-major order.
+
+    Dataset(...) holds read-only copies of the values and labels it is
+    given; the caller's arrays stay writable. load_csv, generate and
+    range_normalise build their arrays themselves and hand them over
+    through _adopt, which makes them read-only in place instead.
     """
 
     values: np.ndarray
@@ -50,6 +65,24 @@ class Dataset:
     labels: Optional[np.ndarray] = None
 
     def __post_init__(self):
+        self._settle(_freeze)
+
+    @classmethod
+    def _adopt(cls, values: np.ndarray, feature_names=None, labels=None) -> "Dataset":
+        """A Dataset holding values (a float64 array) and labels without
+        copying them, checked as Dataset(...) checks them. For arrays the
+        package has just built and keeps no other reference to: they
+        become read-only in place."""
+        dataset = object.__new__(cls)
+        object.__setattr__(dataset, "values", values)
+        object.__setattr__(dataset, "feature_names", feature_names)
+        object.__setattr__(dataset, "labels", labels)
+        dataset._settle(_seal)
+        return dataset
+
+    def _settle(self, keep) -> None:
+        """Check the fields and store values and labels through keep
+        (_freeze copies them, _seal takes them over)."""
         try:
             values = np.asarray(self.values, dtype=float)
         except (TypeError, ValueError):
@@ -67,19 +100,24 @@ class Dataset:
             raise EmptyMatrixError("dataset must contain at least one row and one column")
         if values.ndim != 2:
             raise RaggedRowsError(f"expected a 2-D matrix, got ndim={values.ndim}")
-        bad = ~np.isfinite(values)
-        if bad.any():
-            row, col = np.argwhere(bad)[0]
-            raise NonFiniteError(int(row), int(col))
+        # a non-finite cell makes the sum non-finite, so the cell-by-cell
+        # mask is built only then (or when a finite sum overflows)
+        with np.errstate(over="ignore", invalid="ignore"):
+            suspect = not np.isfinite(values.sum())
+        if suspect:
+            bad = ~np.isfinite(values)
+            if bad.any():
+                row, col = np.argwhere(bad)[0]
+                raise NonFiniteError(int(row), int(col))
         if self.feature_names is not None and len(self.feature_names) != values.shape[1]:
             raise RaggedRowsError("feature_names length does not match column count")
         if self.labels is not None and len(self.labels) != values.shape[0]:
             raise RaggedRowsError("labels length does not match row count")
-        object.__setattr__(self, "values", _freeze(values))
+        object.__setattr__(self, "values", keep(values))
         if self.feature_names is not None:
             object.__setattr__(self, "feature_names", tuple(self.feature_names))
         if self.labels is not None:
-            object.__setattr__(self, "labels", _freeze(np.asarray(self.labels)))
+            object.__setattr__(self, "labels", keep(np.asarray(self.labels)))
 
     @property
     def n(self) -> int:
@@ -172,10 +210,14 @@ class DispersionMatrix:
 
 
 def check_assignments(assignments, k: int, n: int) -> np.ndarray:
-    """The assignments as an array, or DimensionMismatchError if there is
-    not exactly one per point, or naming the first point whose cluster
-    index lies outside [0, k)."""
+    """The assignments as an array, or DimensionMismatchError if they are
+    not integers, if there is not exactly one per point, or naming the
+    first point whose cluster index lies outside [0, k)."""
     assignments = np.asarray(assignments)
+    if not np.issubdtype(assignments.dtype, np.integer):
+        raise DimensionMismatchError(
+            f"assignments must be integer cluster indices, got dtype {assignments.dtype}"
+        )
     if assignments.shape != (n,):
         raise DimensionMismatchError(f"expected {n} assignments, got shape {assignments.shape}")
     outside = (assignments < 0) | (assignments >= k)

@@ -60,13 +60,14 @@ def generate(spec: SyntheticSpec) -> tuple[Dataset, np.ndarray]:
     offsets = np.random.default_rng(s_offsets).normal(
         0.0, 1.0, (spec.n_points, spec.n_informative)
     )
-    informative = centers[labels] + spec.cluster_std * offsets
+    offsets *= spec.cluster_std
+    offsets += centers[labels]  # the informative features
     noise = np.random.default_rng(s_noise).uniform(0.0, 1.0, (spec.n_points, spec.n_noise))
-    values = np.hstack([informative, noise])
+    values = np.hstack([offsets, noise])
     names = [f"f{v}" for v in range(spec.n_informative)] + [
         f"noise{v}" for v in range(spec.n_noise)
     ]
-    return Dataset(values=values, feature_names=names, labels=labels), centers
+    return Dataset._adopt(values, names, labels), centers
 
 
 def range_normalise(dataset: Dataset) -> tuple[Dataset, list[dict]]:
@@ -81,42 +82,115 @@ def range_normalise(dataset: Dataset) -> tuple[Dataset, list[dict]]:
     for v, r in enumerate(ranges):
         if r == 0.0:
             raise ConstantFeatureError(v)
-    normalised = (x - means) / ranges
+    normalised = x - means
+    normalised /= ranges
     stats = [
         {"feature": v, "mean": float(means[v]), "min": float(mins[v]), "max": float(maxs[v])}
         for v in range(x.shape[1])
     ]
-    out = Dataset(values=normalised, feature_names=dataset.feature_names, labels=dataset.labels)
-    return out, stats
+    # the labels are already a read-only array of the input dataset
+    return Dataset._adopt(normalised, dataset.feature_names, dataset.labels), stats
 
 
 LABEL_COLUMN = "label"
 
 
+# csv.writer may quote a cell holding one of these (it quotes ',', '"'
+# and '\n'; whether it quotes '\r' depends on the Python version), and it
+# quotes a row's only cell when that cell is empty
+_QUOTED = re.compile('[,"\r\n]')
+# cell types whose str() holds none of them
+_PLAIN = frozenset(
+    [int, bool, np.bool_]
+    + [t for t in set(np.sctypeDict.values()) if issubclass(t, (np.integer, np.floating))]
+)
+_FLOATS = (float, np.float64)
+# rows that save_csv turns into Python objects at a time
+_SAVE_CHUNK = 256
+
+
+def _template(kinds):
+    """The % template for a row whose cells have these types, and the
+    positions of its str cells; (None, ()) for a row holding any other
+    type."""
+    specs, texts = [], []
+    for i, kind in enumerate(kinds):
+        if kind in _FLOATS:
+            specs.append("%.17g")
+        elif kind in _PLAIN:
+            specs.append("%s")
+        elif kind is str or kind is np.str_:
+            specs.append("%s")
+            texts.append(i)
+        else:
+            return None, ()
+    return ",".join(specs) + "\n", texts
+
+
+def _cell_text(cell) -> str:
+    return format(cell, ".17g") if isinstance(cell, float) else str(cell)
+
+
+def _quoted(cells: tuple, texts) -> bool:
+    """Whether csv.writer might quote one of the row's str cells."""
+    for i in texts:
+        if _QUOTED.search(cells[i]):
+            return True
+    return cells == ("",)
+
+
 def write_csv(path, header, rows) -> None:
-    """Write one CSV table: the header row (if not None), then the rows.
-    Float cells get 17 significant digits (enough for an exact round
-    trip); every other cell is written with str."""
+    """Write one CSV table: the header row (if not None, written by
+    csv.writer as given), then the rows, taken from any iterable one at
+    a time. Float cells get 17 significant digits (enough for an exact
+    round trip); every other cell is written with str.
+
+    A row of floats, ints, bools, numpy numbers and strs is formatted
+    with one % call from a template cached per tuple of cell types.
+    csv.writer gets every row it might write differently: one with a str
+    cell holding ',', '"', '\\r' or '\\n', a lone empty str, or a cell of
+    any other type. So the bytes are csv.writer's throughout.
+    """
+    templates = {}
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+        quoting = csv.writer(fh, lineterminator="\n").writerow
         if header is not None:
-            writer.writerow(header)
-        writer.writerows(
-            [format(c, ".17g") if isinstance(c, float) else str(c) for c in row] for row in rows
-        )
+            quoting(header)
+        write = fh.write
+        for row in rows:
+            cells = tuple(row)
+            kinds = tuple(map(type, cells))
+            found = templates.get(kinds)
+            if found is None:
+                found = templates[kinds] = _template(kinds)
+            template, texts = found
+            if template is not None and not (texts and _quoted(cells, texts)):
+                write(template % cells)
+            else:
+                quoting([_cell_text(c) for c in cells])
+
+
+def _save_rows(values: np.ndarray, labels):
+    """save_csv's rows, made _SAVE_CHUNK at a time: the float values, then
+    the label as text when there are labels."""
+    for start in range(0, len(values), _SAVE_CHUNK):
+        rows = values[start : start + _SAVE_CHUNK].tolist()
+        if labels is None:
+            yield from rows
+            continue
+        for row, label in zip(rows, labels[start : start + _SAVE_CHUNK].astype(str).tolist()):
+            row.append(label)
+            yield row
 
 
 def save_csv(dataset: Dataset, path) -> None:
-    """Write the dataset with write_csv. Feature names become a header
-    row (none when the dataset has no names); labels, written verbatim,
-    become a trailing column."""
+    """Write the dataset with write_csv, streamed a few hundred rows at a
+    time. Feature names become a header row (none when the dataset has
+    no names); labels, written as str, become a trailing column."""
     header = None if dataset.feature_names is None else list(dataset.feature_names)
-    rows = dataset.values.tolist()
-    if dataset.labels is not None:
-        if header is not None:
-            header.append(LABEL_COLUMN)
-        rows = [[*row, label] for row, label in zip(rows, dataset.labels.astype(str))]
-    write_csv(path, header, rows)
+    if dataset.labels is not None and header is not None:
+        header.append(LABEL_COLUMN)
+    write_csv(path, header, _save_rows(dataset.values, dataset.labels))
 
 
 def _is_number(token: str) -> bool:
@@ -133,6 +207,8 @@ _C_READER = {"delimiter": ",", "comments": None, "quotechar": None}
 # numpy's float parser strips these ASCII separators from the ends of a
 # token as whitespace; float() rejects them
 _SEPARATORS = "\x1c\x1d\x1e\x1f"
+# rows that _drop_last_column moves at a time
+_MOVE_ROWS = 1024
 
 
 def _numbered_rows(fh):
@@ -183,7 +259,20 @@ def _read_c(fh, skip: int, has_labels: bool):
     # no NUL, and this pass reads the token csv.reader would
     fh.seek(0)
     tokens = np.loadtxt(fh, skiprows=skip, usecols=-1, dtype=object, ndmin=1, **_C_READER)
-    return values[:, :-1], tokens
+    return _drop_last_column(values), tokens
+
+
+def _drop_last_column(a: np.ndarray) -> np.ndarray:
+    """a[:, :-1] as a C-contiguous array in a's own buffer, which a gives
+    up. (Parsing only those columns with usecols would let numpy accept
+    ragged rows.) Rows move towards the start _MOVE_ROWS at a time: a
+    block's target ends before the next block's source begins, and numpy
+    buffers a block whose source and target overlap."""
+    n, m = a.shape[0], a.shape[1] - 1
+    out = a.reshape(-1)[: n * m].reshape(n, m)
+    for start in range(0, n, _MOVE_ROWS):
+        out[start : start + _MOVE_ROWS] = a[start : start + _MOVE_ROWS, :m]
+    return out
 
 
 def _raise_first_bad_cell(rows, width: int, n_data: int) -> None:
@@ -273,4 +362,4 @@ def load_csv(path, has_labels: bool = False) -> Dataset:
         except (ValueError, OverflowError):
             labels = np.array(tokens, dtype=str)
     names = header[: values.shape[1]] if header is not None else None
-    return Dataset(values=values, feature_names=names, labels=labels)
+    return Dataset._adopt(values, names, labels)

@@ -136,6 +136,14 @@ class TestExperiment:
         for name in ["sorted_weights.csv", "feature_weights.csv", "normalised_objective.csv", "summary.json"]:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
+    @pytest.mark.parametrize("datasets", ["0", "-1"])
+    def test_no_datasets_is_usage_error(self, tmp_path, capsys, datasets):
+        out_dir = tmp_path / "out"
+        code = main(["experiment", "--datasets", datasets, "--out-dir", str(out_dir)])
+        assert code == 2
+        assert "--datasets" in capsys.readouterr().err
+        assert not out_dir.exists()
+
 
 class TestVerify:
     def test_default_run_passes(self, capsys):

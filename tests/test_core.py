@@ -10,6 +10,7 @@ from mwkmeans import (
     run,
     validate_dataset,
 )
+from mwkmeans.engine import update_centroids
 from mwkmeans.errors import (
     DimensionMismatchError,
     EmptyMatrixError,
@@ -177,6 +178,22 @@ class TestDispersions:
         x = np.array([[0.0], [10.0], [20.0]])
         with pytest.raises(DimensionMismatchError, match="expected 3 assignments"):
             compute_dispersions(x, np.array([0, 1]), np.array([[0.0], [10.0]]), 2.0)
+
+    @pytest.mark.parametrize(
+        "assignments",
+        [[0.0, 1.0, 0.0, 1.0], [False, True, False, True], ["0", "1", "0", "1"]],
+        ids=["float", "bool", "str"],
+    )
+    @pytest.mark.parametrize("call", ["compute_dispersions", "update_centroids"])
+    def test_non_integer_assignments_are_named(self, assignments, call):
+        x = np.array([[0.0], [1.0], [2.0], [3.0]])
+        centroids = np.array([[0.0], [2.0]])
+        a = np.array(assignments)
+        with pytest.raises(DimensionMismatchError, match=f"dtype {a.dtype}"):
+            if call == "compute_dispersions":
+                compute_dispersions(x, a, centroids, 2.0)
+            else:
+                update_centroids(x, a, 2, 2.0, 1e-10)
 
 
 class TestStateInvariants:
