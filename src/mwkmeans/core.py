@@ -241,7 +241,7 @@ def compute_dispersions(
     centroids = np.asarray(centroids, dtype=float)
     assignments = check_assignments(assignments, centroids.shape[0], values.shape[0])
     members = np.arange(centroids.shape[0])[:, None] == assignments
-    dev = centroids[assignments]  # a fresh array, so the powers go in place
+    dev = np.take(centroids, assignments, axis=0)  # a fresh array, so the powers go in place
     return DispersionMatrix(d=members @ _abs_pow(np.subtract(values, dev, out=dev), p, out=dev))
 
 

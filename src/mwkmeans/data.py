@@ -10,6 +10,7 @@ dataset exactly.
 from __future__ import annotations
 
 import csv
+import io
 import re
 from dataclasses import dataclass
 
@@ -95,9 +96,8 @@ def range_normalise(dataset: Dataset) -> tuple[Dataset, list[dict]]:
 LABEL_COLUMN = "label"
 
 
-# csv.writer may quote a cell holding one of these (it quotes ',', '"'
-# and '\n'; whether it quotes '\r' depends on the Python version), and it
-# quotes a row's only cell when that cell is empty
+# _quoting_writer quotes a cell holding one of these, and a row's only
+# cell when that cell is empty
 _QUOTED = re.compile('[,"\r\n]')
 # cell types whose str() holds none of them
 _PLAIN = frozenset(
@@ -127,6 +127,24 @@ def _template(kinds):
     return ",".join(specs) + "\n", texts
 
 
+def _quoting_writer(write):
+    """csv.writer's writerow, writing each row through write, except
+    that a cell holding a bare '\\r' is quoted too, on every Python
+    version. Given "\\n", csv.writer quotes '\\n' but, on Python 3.11,
+    not '\\r', and load_csv would then split the row there; given
+    "\\r\\n" it quotes both, and each row's "\\r\\n" is written as "\\n"."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf, lineterminator="\r\n")
+
+    def writerow(row):
+        writer.writerow(row)
+        write(buf.getvalue()[:-2] + "\n")
+        buf.seek(0)
+        buf.truncate()
+
+    return writerow
+
+
 def _cell_text(cell) -> str:
     return format(cell, ".17g") if isinstance(cell, float) else str(cell)
 
@@ -149,14 +167,15 @@ def write_csv(path, header, rows) -> None:
     with one % call from a template cached per tuple of cell types.
     csv.writer gets every row it might write differently: one with a str
     cell holding ',', '"', '\\r' or '\\n', a lone empty str, or a cell of
-    any other type. So the bytes are csv.writer's throughout.
+    any other type. So the bytes are csv.writer's throughout, but for a
+    cell holding a bare '\\r', which is quoted as well (_quoting_writer).
     """
     templates = {}
     with open(path, "w", newline="") as fh:
-        quoting = csv.writer(fh, lineterminator="\n").writerow
+        write = fh.write
+        quoting = _quoting_writer(write)
         if header is not None:
             quoting(header)
-        write = fh.write
         for row in rows:
             cells = tuple(row)
             kinds = tuple(map(type, cells))

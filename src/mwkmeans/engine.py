@@ -40,7 +40,13 @@ loop, which stays the only definition of the distance; either way the
 answer is the direct loop's. The screen decides every point when the
 data's common offset is not far larger than its spread, as after range
 normalisation; data offset by about 1e6 times its spread falls back on
-every call and pays for the screen on top of the loop.
+every call and pays for the screen on top of the loop. Its x^2 terms
+depend on the points alone, so a run computes them once and hands them
+to assign_points with the points (_Points).
+
+A dispersion that is not finite can only come from an overflow of
+|x - z|^p or of its sum, since data and centres are finite; the loop
+raises DispersionOverflowError, naming p, before the weight step.
 """
 from __future__ import annotations
 
@@ -60,8 +66,13 @@ from .core import (
     check_assignments,
     compute_dispersions,
 )
-from .errors import DimensionMismatchError, EmptyClusterError, InvalidConfigError
-from .geometry import _abs_pow, minkowski_center_columns
+from .errors import (
+    DimensionMismatchError,
+    DispersionOverflowError,
+    EmptyClusterError,
+    InvalidConfigError,
+)
+from .geometry import _SMALLEST_SUBNORMAL, _UNIT_ROUNDOFF, _abs_pow, minkowski_center_columns
 from .weighting import update_weights
 
 
@@ -84,8 +95,19 @@ class EngineEvent:
 Observer = Callable[[EngineEvent], None]
 
 
+@dataclass(frozen=True)
+class _Points:
+    """A run's points with _squares(values), the terms of the p = 2
+    screen that depend on the points alone. The loop passes it to
+    assign_points in place of the points, so the squares are computed
+    once per run; every other caller's call computes its own."""
+
+    values: np.ndarray
+    squares: tuple
+
+
 def _values(dataset) -> np.ndarray:
-    if isinstance(dataset, Dataset):
+    if isinstance(dataset, (Dataset, _Points)):
         return dataset.values
     return np.asarray(dataset, dtype=float)
 
@@ -115,7 +137,8 @@ def assign_points(dataset, centroids, weights, p: float) -> np.ndarray:
             " must have shapes (n, m), (k, m) and (k, m) with k >= 1"
         )
     if p == 2.0:
-        assignments = _screen_p2(x, centroids, wp)
+        squares = dataset.squares if isinstance(dataset, _Points) else None
+        assignments = _screen_p2(x, centroids, wp, squares)
         if assignments is not None:
             return assignments
     dists = np.empty((centroids.shape[0], x.shape[0]))
@@ -125,13 +148,16 @@ def assign_points(dataset, centroids, weights, p: float) -> np.ndarray:
     return np.argmin(dists, axis=0)
 
 
-_UNIT_ROUNDOFF = np.finfo(float).eps / 2
-_SMALLEST_SUBNORMAL = np.finfo(float).smallest_subnormal
+def _squares(x):
+    """x^2 and its largest value."""
+    with np.errstate(all="ignore"):  # an inf or NaN sends the screen to the loop
+        xx = np.square(x)
+        return xx, xx.max(initial=0.0)
 
 
-def _screen_p2(x, z, wp):
+def _screen_p2(x, z, wp, squares=None):
     """The direct loop's p = 2 assignments, or None where this cannot
-    prove them.
+    prove them. squares is _squares(x), or None to compute it here.
 
     d_li = sx_li - 2 (wp_l z_l).x_i + sz_l with sx_li = wp_l.x_i^2 and
     sz_l = wp_l.z_l^2: three products in (k, n) layout. Point i goes to
@@ -170,11 +196,10 @@ def _screen_p2(x, z, wp):
     the minimum in every column exactly when there are n in all.
     """
     n, m = x.shape
+    xx, x2max = _squares(x) if squares is None else squares
     with np.errstate(all="ignore"):  # any non-finite value sends the call to the loop
-        xx = np.square(x)
-        x2max = xx.max(initial=0.0)
         d = wp @ xx.T  # sx for now
-        del xx  # freed before the next (k, n) product, so fewer fresh pages
+        del xx  # x^2 made here is freed before the next (k, n) product: fewer fresh pages
         zz = np.square(z)
         sz = (wp * zz).sum(axis=1)
         scale = d.max(initial=0.0) + sz.max()
@@ -222,7 +247,7 @@ def update_centroids(
     order = np.argsort(assignments.astype(np.min_scalar_type(k - 1)), kind="stable")
     offsets = np.cumsum(counts) - counts
     return minkowski_center_columns(
-        x[order], p, center_tol, offsets, start, coarse=coarse, _passes=_passes
+        np.take(x, order, axis=0), p, center_tol, offsets, start, coarse=coarse, _passes=_passes
     )
 
 
@@ -281,16 +306,19 @@ def _alternate(
     # only the iterative solver (p != 2) has a grid to coarsen; without
     # a coarse grid the loop solves fine throughout
     coarse = p != 2.0 and geometry._COARSE_GRID > 0.0
+    points = _Points(x, _squares(x)) if p == 2.0 else x
 
     def block_step(assignments, start, on_coarse_grid, passes):
         centroids = update_centroids(
             x, assignments, k, p, config.center_tol, start, coarse=on_coarse_grid, _passes=passes
         )
         dispersions = compute_dispersions(x, assignments, centroids, p)
+        if not np.isfinite(dispersions.d).all():  # data and centres are finite
+            raise DispersionOverflowError(p)
         return centroids, dispersions, weight_step(dispersions, p)
 
     for it in range(config.max_iter):
-        assignments = assign_points(x, centroids, weights, p)
+        assignments = assign_points(points, centroids, weights, p)
         n_reassigned = n if prev_assign is None else int(np.sum(assignments != prev_assign))
         repairs = _repair_empty(x, assignments, centroids, weights, p, k)
         # the same assignments as last time give the same centres,

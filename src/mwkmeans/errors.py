@@ -45,6 +45,15 @@ class NonpositiveDispersionError(MwkError):
     pass
 
 
+class DispersionOverflowError(MwkError):
+    """A dispersion of finite data and centres is not finite: some
+    |x - z|^p, or a sum of them, overflowed float64."""
+
+    def __init__(self, p: float):
+        super().__init__(f"|x - z|^p overflowed at p = {p:g}: a dispersion is not finite")
+        self.p = p
+
+
 class InvalidCError(MwkError):
     pass
 

@@ -24,7 +24,10 @@ coarse solve evaluates f' in float32 with float64 sums (mixed precision
 as in Higham & Mary 2022, Acta Numerica 31:347): that moves its root by
 at most 2^-23 (1 + 1/(p - 1)) of the range, so its answer lies within
 half a coarse cell plus that shift of the fine one, under two cells;
-the fine solve from it is unchanged. p = 2 takes the closed-form mean.
+the fine solve from it is unchanged. p = 2 takes the closed-form mean,
+clipped into [min, max] because a rounded mean can leave it by an ulp;
+when a rounding-error bound proves that no cell's mean can leave it
+(_mean_inside), the clip and the min and max it needs are skipped.
 All functions here are pure; _abs_pow is the one |x - z|^p kernel of
 the package, used by every caller (a float32 pass at p = 5 squares
 twice instead).
@@ -38,6 +41,9 @@ import numpy as np
 from .errors import DimensionMismatchError, InvalidConfigError, NonFiniteError
 
 DEFAULT_CENTER_TOL = 1e-10
+
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
+_SMALLEST_SUBNORMAL = np.finfo(float).smallest_subnormal
 
 # Largest p whose smallest farthest-sample term, 2^-(p-1) on the [0, 1]
 # scale, is a normal float; above it f' underflows to 0 mid-bracket.
@@ -123,6 +129,41 @@ def center_gradient(samples, p: float, z: float) -> float:
     return float(np.sum(p * np.sign(d) * _abs_pow(d, p - 1)))
 
 
+def _mean_inside(matrix, offsets, sizes, mean) -> bool:
+    """Whether every computed block mean provably lies inside its
+    cell's [min, max], so that the clip would change nothing; False
+    where that is not proved, and for any non-finite mean.
+
+    With n samples, range R = max - min and largest |x| M in a cell, the
+    exact mean lies at least R / n inside [min, max]: the largest sample
+    alone lifts it R / n above the minimum, the smallest holds it R / n
+    below the maximum. The computed mean lies within about (n + 1) u M
+    of the exact one (u = 2^-53; Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., 2002, 4.2: a sum of n terms in any
+    order errs by at most gamma_(n-1) n M, and the division rounds once
+    more), plus eta / 2 below the normal range (eta the smallest
+    subnormal; sums add no underflow error). So it is strictly inside
+    when R / n exceeds that, and R >= |first - last| for the block's
+    first and last members. The test asks for |first / 2 - last / 2| >
+    2 n (n + 1) u M + (n + 4) eta. Halving first keeps the difference
+    finite; after the roundings of the halves (eta / 2 each below the
+    normal range), of the difference and of the bar, it still gives
+    R / n > 4 (n + 1) u M (1 - 5 u) + 2 eta, twice the error or more.
+    M is taken over the whole matrix, which only raises the bar.
+    A 1-row block, or one whose first and last members are equal, fails
+    the test, so the call takes the computed [min, max] clip.
+    """
+    if not np.isfinite(mean).all():
+        return False
+    n = sizes[:, None].astype(float)
+    first = np.take(matrix, offsets, axis=0)
+    last = np.take(matrix, offsets + sizes - 1, axis=0)
+    big = max(matrix.max(), -matrix.min())  # two contiguous passes, cheaper than per column
+    with np.errstate(over="ignore", under="ignore"):  # an infinite bar fails the test
+        bar = 2.0 * n * (n + 1.0) * _UNIT_ROUNDOFF * big + (n + 4.0) * _SMALLEST_SUBNORMAL
+        return bool((np.abs(0.5 * first - 0.5 * last) > bar).all())
+
+
 def _solve_blocks(matrix, offsets, p: float, center_tol: float, start=None, coarse=False):
     """Minkowski centres of every (block, column) cell of a matrix whose
     rows fall into contiguous blocks starting at the given offsets.
@@ -141,7 +182,8 @@ def _solve_blocks(matrix, offsets, p: float, center_tol: float, start=None, coar
     the ends. Every point it evaluates is rounded to the grid, and it
     stops when its sign-change bracket is one grid cell wide. All cells
     move in lock step, one pass over the matrix per gradient evaluation.
-    p = 2 takes the closed-form mean. Returns the bracket midpoints and widths, each of
+    p = 2 takes the closed-form mean, clipped into [min, max] unless
+    _mean_inside proves the clip idle. Returns the bracket midpoints and widths, each of
     shape (blocks, m), and the number of passes.
 
     A coarse solve inside the float32 window (_F32_MIN_P = 1.09375 <= p
@@ -159,13 +201,17 @@ def _solve_blocks(matrix, offsets, p: float, center_tol: float, start=None, coar
         raise InvalidConfigError(f"the centre solver needs 1 < p <= {_MAX_P:g}, got p={p}")
     sizes = np.diff(np.append(offsets, matrix.shape[0]))
     n = sizes[:, None]
+    if p == 2.0:
+        with np.errstate(over="ignore", invalid="ignore"):  # caught below
+            mean = np.add.reduceat(matrix, offsets, axis=0) / n
+        if _mean_inside(matrix, offsets, sizes, mean):
+            return mean, np.zeros(mean.shape), 0
     lo = np.minimum.reduceat(matrix, offsets, axis=0)
     hi = np.maximum.reduceat(matrix, offsets, axis=0)
     if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
         row, col = np.argwhere(~np.isfinite(matrix))[0]
         raise NonFiniteError(int(row), int(col))
     if p == 2.0:  # a rounded mean can leave [min, max] by an ulp
-        mean = np.add.reduceat(matrix, offsets, axis=0) / n
         return np.minimum(np.maximum(mean, lo), hi), np.zeros(mean.shape), 0
     half = 0.5 * hi - 0.5 * lo  # never overflows, unlike hi - lo
     scale = np.where(half > 0.0, half, 1.0)

@@ -1,10 +1,12 @@
 """The CSV writer as it was before write_csv streamed its rows, kept
-verbatim: every cell becomes a str in Python, and csv.writer writes all
-rows. tests/test_csv_writer.py checks the streaming writer against it
-byte for byte."""
+verbatim but for one rule: a cell holding a bare '\\r' is quoted too.
+Every cell becomes a str in Python, and csv.writer writes all rows.
+tests/test_csv_writer.py checks the streaming writer against it byte
+for byte."""
 from __future__ import annotations
 
 import csv
+import io
 
 from mwkmeans import Dataset
 
@@ -14,14 +16,23 @@ LABEL_COLUMN = "label"
 def write_csv(path, header, rows) -> None:
     """Write one CSV table: the header row (if not None), then the rows.
     Float cells get 17 significant digits (enough for an exact round
-    trip); every other cell is written with str."""
+    trip); every other cell is written with str. csv.writer writes each
+    row with the line terminator "\\r\\n", so that it quotes a cell
+    holding '\\r' as it quotes one holding '\\n'; the file gets "\\n"."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf, lineterminator="\r\n")
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+
+        def writerow(cells):
+            buf.seek(0)
+            buf.truncate()
+            writer.writerow(cells)
+            fh.write(buf.getvalue().removesuffix("\r\n") + "\n")
+
         if header is not None:
-            writer.writerow(header)
-        writer.writerows(
-            [format(c, ".17g") if isinstance(c, float) else str(c) for c in row] for row in rows
-        )
+            writerow(header)
+        for row in rows:
+            writerow([format(c, ".17g") if isinstance(c, float) else str(c) for c in row])
 
 
 def save_csv(dataset: Dataset, path) -> None:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import mwkmeans
-from mwkmeans import load_csv, save_csv, validate_dataset
+from mwkmeans import cli, load_csv, save_csv, validate_dataset
 from mwkmeans.cli import main
 
 
@@ -178,3 +178,15 @@ class TestUsage:
 
     def test_unknown_command_is_usage_error(self):
         assert main(["frobnicate"]) == 2
+
+    def test_parser_is_built_once_per_process(self, monkeypatch):
+        built, build = [], cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(build()) or built[-1])
+        cli._parser.cache_clear()
+        try:
+            assert main([]) == 2
+            assert main(["frobnicate"]) == 2
+            assert len(built) == 1
+        finally:
+            cli._parser.cache_clear()
+        assert build() is not build()  # build_parser still returns a fresh parser

@@ -107,6 +107,24 @@ def test_quoted_rows_keep_their_place(tmp_path):
     )
 
 
+def test_bare_carriage_return_is_quoted(tmp_path):
+    # csv.writer given "\n" leaves a bare "\r" unquoted on Python 3.11
+    rows = [["x\ry", 1], [2.5, "\r"], ["a\r\nb", "c"]]
+    assert _table(tmp_path / "new.csv", write_csv, ["h\r", "k"], rows) == (
+        b'"h\r",k\n"x\ry",1\n2.5,"\r"\n"a\r\nb",c\n'
+    )
+
+
+def test_labels_and_names_with_a_bare_carriage_return_round_trip(tmp_path):
+    # unquoted, the "\r" split the row and load_csv raised CsvParseError (line 3)
+    d = validate_dataset([[1.0, 2.0], [3.0, 4.0]], feature_names=["a\rb", "c"], labels=np.array(["x\ry", "z"]))
+    save_csv(d, tmp_path / "d.csv")
+    loaded = load_csv(tmp_path / "d.csv", has_labels=True)
+    np.testing.assert_array_equal(loaded.values, d.values)
+    assert loaded.labels.tolist() == ["x\ry", "z"]
+    assert loaded.feature_names == ("a\rb", "c")
+
+
 # --- memory: the 20,000 x 16 labelled dataset of test_data's peak test ---
 
 

@@ -23,7 +23,13 @@ from mwkmeans import (
 )
 from mwkmeans import engine, geometry
 from mwkmeans.engine import EngineEvent
-from mwkmeans.errors import DimensionMismatchError, EmptyClusterError, InvalidConfigError
+from mwkmeans.errors import (
+    DimensionMismatchError,
+    DispersionOverflowError,
+    EmptyClusterError,
+    InvalidConfigError,
+    MwkError,
+)
 
 
 class TestAssignPoints:
@@ -168,6 +174,43 @@ class TestAssignP2Screen:
         assert engine._screen_p2(x, z, w**2) is not None
         np.testing.assert_array_equal(assign_points(x, z, w, 2.0), plain_assign(x, z, w))
 
+    @pytest.mark.parametrize("offset", [0.0, 1e8], ids=["screened", "falls-back"])
+    def test_per_run_squares_match_assign_points_alone(self, monkeypatch, offset):
+        # a run squares its points once and hands the squares to
+        # assign_points with the points; each iteration must get the
+        # assignments, and fall back to the loop exactly when,
+        # assign_points on the bare points does
+        x = np.random.default_rng(17).random((600, 6)) + offset
+        squared, screens, calls = [], [], []
+        real_squares, real_screen = engine._squares, engine._screen_p2
+
+        def squares(x):
+            squared.append(real_squares(x))
+            return squared[-1]
+
+        def screen(*args):
+            screens.append(real_screen(*args))
+            return screens[-1]
+
+        def assign(points, z, w, p):
+            calls.append((points, z.copy(), w.copy(), assign_points(points, z, w, p)))
+            return calls[-1][3]
+
+        monkeypatch.setattr(engine, "_squares", squares)
+        monkeypatch.setattr(engine, "_screen_p2", screen)
+        monkeypatch.setattr(engine, "assign_points", assign)
+        report = run(validate_dataset(x), MwkConfig(k=6, p=2.0, seed=3))
+        assert len(squared) == 1 and len(calls) == len(screens) == report.iterations > 1
+        assert all(points.squares is squared[0] for points, *_ in calls)
+        in_run = [s is None for s in screens]
+        assert all(in_run) if offset else not any(in_run)
+        squared.clear()
+        screens.clear()
+        for _, z, w, expected in calls:
+            np.testing.assert_array_equal(assign_points(x, z, w, 2.0), expected)
+        assert [s is None for s in screens] == in_run
+        assert len(squared) == len(calls)  # on bare points, each call squares them
+
 
 @st.composite
 def p2_problems(draw):
@@ -306,6 +349,15 @@ class TestRun:
         best, _ = run_restarts(ds, MwkConfig(k=2, p=2.0, seed=0, restarts=20))
         agreement = best_label_agreement(labels, best.final_state.assignments, 2)
         assert agreement >= 0.99
+
+    def test_overflowing_dispersions_are_named(self):
+        # every cell is finite, but |x - z|^3 overflows, and 0 x inf in
+        # the dispersion product made update_weights name a NaN at (1, 0)
+        x = np.random.default_rng(0).standard_normal((300, 4)) * 1e150
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DispersionOverflowError) as exc:
+            run(validate_dataset(x), MwkConfig(k=3, p=3.0))
+        assert isinstance(exc.value, MwkError)
+        assert exc.value.p == 3.0 and "p = 3" in str(exc.value)
 
     def test_k_exceeding_n_rejected(self):
         ds = validate_dataset([[0.0], [1.0]])
@@ -613,6 +665,12 @@ class TestClassicKMeans:
         args = {"k": 1, **kwargs}
         with pytest.raises(InvalidConfigError):
             run_classic_kmeans(validate_dataset([[0.0], [1.0], [2.0]]), **args)
+
+    def test_overflow_is_named_not_nan(self):
+        # the squares overflow; the report used to carry a NaN objective
+        x = np.random.default_rng(0).standard_normal((300, 4)) * 1e200
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DispersionOverflowError):
+            run_classic_kmeans(validate_dataset(x), k=3)
 
     def test_objective_is_sse_and_weights_uniform(self):
         rng = np.random.default_rng(14)

@@ -10,10 +10,14 @@ and on columns up to 1e300. The coarse answer lies within half a coarse
 cell of it outside the float32 window, and within the derived bound
 helpers.coarse_bound (under two cells) inside it, where an answer two
 cells off fails that bound.
+
+At p = 2 each block's centre is its mean clipped into [min, max], bit
+for bit, whether the clip is computed or proved to change nothing.
 """
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from helpers import coarse_bound, coarse_cell
 from mwkmeans import geometry
@@ -90,3 +94,65 @@ def test_fine_solve_from_the_coarse_answer_is_the_cold_fine_answer(samples, p):
     if cells > 16 * np.spacing(max(abs(lo), abs(hi))):
         away = np.copysign(cells, coarse[0, 0] - fine[0, 0])
         assert abs(coarse[0, 0] + away - fine[0, 0]) > bound
+
+
+def clipped_means(matrix, offsets):
+    """Each block's mean clipped into its [min, max], block by block in
+    plain numpy. The sum goes through np.add.reduceat, as the solver's
+    does: block.sum(axis=0) adds in another order and rounds differently."""
+    ends = list(offsets[1:]) + [len(matrix)]
+    means = []
+    for start, stop in zip(offsets, ends):
+        block = matrix[start:stop]
+        mean = np.add.reduceat(block, [0], axis=0)[0] / len(block)
+        means.append(np.minimum(np.maximum(mean, block.min(axis=0)), block.max(axis=0)))
+    return np.array(means)
+
+
+@st.composite
+def mean_blocks(draw):
+    """Blocks of 1-30 rows (1-row blocks included) of spread values, of
+    any floats, of a few values or of values one ulp apart, some with a
+    constant or duplicated column or equal first and last rows, at
+    scales 1e-150 to 1e150 and offsets up to 1e8. About a third take the
+    proved path, where no cell needs the clip."""
+    m = draw(st.integers(1, 3))
+    sizes = draw(st.lists(st.integers(2, 30), min_size=1, max_size=4))
+    if draw(st.integers(0, 3)) == 3:
+        sizes[draw(st.integers(0, len(sizes) - 1))] = 1
+    offsets = np.cumsum([0] + sizes[:-1])
+    shape = (sum(sizes), m)
+    kind = draw(st.sampled_from(["uniform", "floats", "pool", "ulps"]))
+    if kind == "uniform":  # spread values: most of these take the proved path
+        x = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(-1.0, 1.0, shape)
+    else:
+        elements = st.floats(-1.0, 1.0)
+        if kind != "floats":
+            pool = draw(st.lists(elements, min_size=1, max_size=4))
+            if kind == "ulps":  # one ulp apart, so first and last barely differ
+                pool = [pool[0], np.nextafter(pool[0], 2.0), np.nextafter(pool[0], -2.0)]
+            elements = st.sampled_from(pool)
+        x = draw(arrays(float, shape, elements=elements, fill=st.nothing()))
+    if draw(st.integers(0, 3)) == 3:
+        x[:, draw(st.integers(0, m - 1))] = x[0, 0]  # a constant column
+    if m > 1 and draw(st.integers(0, 3)) == 3:
+        x[:, 1] = x[:, 0]  # a duplicated column
+    if draw(st.integers(0, 3)) == 3:
+        b = draw(st.integers(0, len(sizes) - 1))
+        x[offsets[b] + sizes[b] - 1] = x[offsets[b]]  # first and last members equal
+    scale = draw(st.sampled_from([1e-150, 1e-100, 1e-3, 1.0, 1e3, 1e100, 1e150]))
+    offset = draw(st.sampled_from([0.0, 0.1, 1.0, 1e3, 1e6, 1e8]))
+    return (x + offset) * scale, offsets
+
+
+@settings(max_examples=300, deadline=None)
+@given(mean_blocks())
+# three copies of 0.1: the rounded mean, 0.10000000000000002, needs the clip
+@example((np.full((3, 1), 0.1), np.array([0])))
+@example((np.array([[0.1], [0.1], [0.1], [2.0], [3.0]]), np.array([0, 3])))
+# first and last differ by an ulp, and the mean, 0.10000000000000003, is above both
+@example((np.append(np.full(29, 0.1), np.nextafter(0.1, 1.0))[:, None], np.array([0])))
+def test_p2_centres_are_clipped_means_bit_for_bit(problem):
+    matrix, offsets = problem
+    z = minkowski_center_columns(matrix, 2.0, offsets=offsets)
+    assert z.tobytes() == clipped_means(matrix, offsets).tobytes()
