@@ -213,9 +213,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.set_defaults(func=cmd_experiment)
 
     p_verify = sub.add_parser("verify", help="run the analytical self-checks")
-    p_verify.add_argument("--trials", type=int, default=1000)
+    p_verify.add_argument("--trials", type=_positive_int, default=1000)
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--inject-fault", default=None, help=argparse.SUPPRESS)
+    p_verify.add_argument("--inject-fault", choices=verify_mod.CHECK_NAMES, help=argparse.SUPPRESS)
     p_verify.set_defaults(func=cmd_verify)
     return parser
 

@@ -22,7 +22,7 @@ from .errors import (
     NonNumericError,
     RaggedRowsError,
 )
-from .geometry import _MAX_P, _abs_pow
+from .geometry import _MAX_P, DEFAULT_CENTER_TOL, _abs_pow
 
 # Exponents p <= 1 + P_MARGIN are rejected: the weight update divides by
 # p - 1 and the centre loses uniqueness at p = 1. So is p > geometry._MAX_P.
@@ -146,7 +146,7 @@ class MwkConfig:
     p: float
     tol_objective: float = 1e-6
     max_iter: int = 100
-    center_tol: float = 1e-10
+    center_tol: float = DEFAULT_CENTER_TOL
     seed: int = 0
     restarts: int = 1
 

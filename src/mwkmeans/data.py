@@ -96,35 +96,11 @@ def range_normalise(dataset: Dataset) -> tuple[Dataset, list[dict]]:
 LABEL_COLUMN = "label"
 
 
-# _quoting_writer quotes a cell holding one of these, and a row's only
-# cell when that cell is empty
+# _quoting_writer quotes a cell holding one of these; it also quotes a
+# row's only cell when that cell is empty, which no save_csv row is
 _QUOTED = re.compile('[,"\r\n]')
-# cell types whose str() holds none of them
-_PLAIN = frozenset(
-    [int, bool, np.bool_]
-    + [t for t in set(np.sctypeDict.values()) if issubclass(t, (np.integer, np.floating))]
-)
-_FLOATS = (float, np.float64)
 # rows that save_csv turns into Python objects at a time
 _SAVE_CHUNK = 256
-
-
-def _template(kinds):
-    """The % template for a row whose cells have these types, and the
-    positions of its str cells; (None, ()) for a row holding any other
-    type."""
-    specs, texts = [], []
-    for i, kind in enumerate(kinds):
-        if kind in _FLOATS:
-            specs.append("%.17g")
-        elif kind in _PLAIN:
-            specs.append("%s")
-        elif kind is str or kind is np.str_:
-            specs.append("%s")
-            texts.append(i)
-        else:
-            return None, ()
-    return ",".join(specs) + "\n", texts
 
 
 def _quoting_writer(write):
@@ -149,67 +125,52 @@ def _cell_text(cell) -> str:
     return format(cell, ".17g") if isinstance(cell, float) else str(cell)
 
 
-def _quoted(cells: tuple, texts) -> bool:
-    """Whether csv.writer might quote one of the row's str cells."""
-    for i in texts:
-        if _QUOTED.search(cells[i]):
-            return True
-    return cells == ("",)
-
-
 def write_csv(path, header, rows) -> None:
-    """Write one CSV table: the header row (if not None, written by
-    csv.writer as given), then the rows, taken from any iterable one at
-    a time. Float cells get 17 significant digits (enough for an exact
-    round trip); every other cell is written with str.
+    """Write one CSV table: the header row (if not None, written as
+    given), then the rows, taken from any iterable one at a time. Float
+    cells get 17 significant digits (enough for an exact round trip);
+    every other cell is written with str. csv.writer writes every row,
+    except that a cell holding a bare '\\r' is quoted too
+    (_quoting_writer)."""
+    with open(path, "w", newline="") as fh:
+        writerow = _quoting_writer(fh.write)
+        if header is not None:
+            writerow(header)
+        for row in rows:
+            writerow([_cell_text(c) for c in row])
 
-    A row of floats, ints, bools, numpy numbers and strs is formatted
-    with one % call from a template cached per tuple of cell types.
-    csv.writer gets every row it might write differently: one with a str
-    cell holding ',', '"', '\\r' or '\\n', a lone empty str, or a cell of
-    any other type. So the bytes are csv.writer's throughout, but for a
-    cell holding a bare '\\r', which is quoted as well (_quoting_writer).
-    """
-    templates = {}
+
+def save_csv(dataset: Dataset, path) -> None:
+    """Write the dataset as write_csv would, _SAVE_CHUNK rows at a time.
+    Feature names become a header row (none when the dataset has no
+    names); labels, written as str, become a trailing column.
+
+    Every row is m floats and perhaps a label, so one % template built
+    once formats it, each float with 17 significant digits. Only a row
+    whose label csv.writer would quote (one holding ',', '"', '\\r' or
+    '\\n') goes to csv.writer, so the bytes are write_csv's."""
+    values, labels = dataset.values, dataset.labels
+    header = None if dataset.feature_names is None else list(dataset.feature_names)
+    if labels is not None and header is not None:
+        header.append(LABEL_COLUMN)
+    template = ",".join(["%.17g"] * values.shape[1]) + ("\n" if labels is None else ",%s\n")
     with open(path, "w", newline="") as fh:
         write = fh.write
         quoting = _quoting_writer(write)
         if header is not None:
             quoting(header)
-        for row in rows:
-            cells = tuple(row)
-            kinds = tuple(map(type, cells))
-            found = templates.get(kinds)
-            if found is None:
-                found = templates[kinds] = _template(kinds)
-            template, texts = found
-            if template is not None and not (texts and _quoted(cells, texts)):
-                write(template % cells)
-            else:
-                quoting([_cell_text(c) for c in cells])
-
-
-def _save_rows(values: np.ndarray, labels):
-    """save_csv's rows, made _SAVE_CHUNK at a time: the float values, then
-    the label as text when there are labels."""
-    for start in range(0, len(values), _SAVE_CHUNK):
-        rows = values[start : start + _SAVE_CHUNK].tolist()
-        if labels is None:
-            yield from rows
-            continue
-        for row, label in zip(rows, labels[start : start + _SAVE_CHUNK].astype(str).tolist()):
-            row.append(label)
-            yield row
-
-
-def save_csv(dataset: Dataset, path) -> None:
-    """Write the dataset with write_csv, streamed a few hundred rows at a
-    time. Feature names become a header row (none when the dataset has
-    no names); labels, written as str, become a trailing column."""
-    header = None if dataset.feature_names is None else list(dataset.feature_names)
-    if dataset.labels is not None and header is not None:
-        header.append(LABEL_COLUMN)
-    write_csv(path, header, _save_rows(dataset.values, dataset.labels))
+        for start in range(0, len(values), _SAVE_CHUNK):
+            rows = values[start : start + _SAVE_CHUNK].tolist()
+            if labels is None:
+                for row in rows:
+                    write(template % tuple(row))
+                continue
+            for row, label in zip(rows, labels[start : start + _SAVE_CHUNK].astype(str).tolist()):
+                row.append(label)
+                if _QUOTED.search(label):
+                    quoting([_cell_text(c) for c in row])
+                else:
+                    write(template % tuple(row))
 
 
 def _is_number(token: str) -> bool:

@@ -225,14 +225,15 @@ ALL_CHECKS = [
     check_power_mean_limits,
     check_power_mean_monotonicity,
 ]
+# the names of ALL_CHECKS in their results, and what inject_fault takes
+CHECK_NAMES = [check.__name__.removeprefix("check_").replace("_", "-") for check in ALL_CHECKS]
 
 
 def run_all(trials: int = 1000, seed: int = 0, inject_fault: Optional[str] = None) -> list[CheckResult]:
     """Run every check on fresh random instances; returns the results in
     a fixed order. inject_fault names a check to sabotage deliberately."""
     results = []
-    for check in ALL_CHECKS:
+    for check, name in zip(ALL_CHECKS, CHECK_NAMES):
         rng = np.random.default_rng(seed)
-        name = check.__name__.removeprefix("check_").replace("_", "-")
         results.append(check(rng, trials, fault=(inject_fault == name)))
     return results

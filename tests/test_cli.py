@@ -160,6 +160,19 @@ class TestVerify:
         captured = capsys.readouterr()
         assert "ratio-law" in captured.err
 
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_no_trials_is_usage_error(self, capsys, trials):
+        # each check passed vacuously, so verify printed ten PASS lines
+        assert main(["verify", "--trials", trials]) == 2
+        captured = capsys.readouterr()
+        assert "--trials" in captured.err and "PASS" not in captured.out
+
+    def test_unknown_injected_fault_is_usage_error(self, capsys):
+        # a misspelt check name sabotaged nothing, and every check passed
+        assert main(["verify", "--trials", "20", "--inject-fault", "ratio-lwa"]) == 2
+        captured = capsys.readouterr()
+        assert "--inject-fault" in captured.err and "PASS" not in captured.out
+
 
 class TestImport:
     def test_cli_import_leaves_scipy_out(self):

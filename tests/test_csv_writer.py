@@ -90,10 +90,35 @@ def test_save_csv_bytes_equal_the_oracle(tmp_path_factory, dataset):
     )
 
 
-def test_save_csv_streams_past_one_chunk(tmp_path):
+# labels that csv.writer quotes, and the empty label, which it does not
+_ODD_LABELS = ["a,b", 'say "x"', "x\ry", "l\nm", "\r\n", ""]
+
+
+def _str_labels(n, odd_at):
+    """n plain str labels, with the _ODD_LABELS in turn at odd_at."""
+    labels = [f"c{i % 4}" for i in range(n)]
+    for i, j in enumerate(odd_at):
+        labels[j] = _ODD_LABELS[i % len(_ODD_LABELS)]
+    return np.array(labels)
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [
+        lambda rng: rng.integers(5, size=1000),
+        # odd labels on both sides of the first and second chunk edges
+        lambda rng: _str_labels(1000, [*range(250, 262), *range(509, 515), 999]),
+        # odd labels only away from the edges: plain rows meet them there
+        lambda rng: _str_labels(1000, [3, 100, 300, 700]),
+        lambda rng: _str_labels(1000, range(1000)),
+        lambda rng: np.array([""] * 1000),
+    ],
+    ids=["ints", "odd-at-edges", "plain-at-edges", "all-odd", "all-empty"],
+)
+def test_save_csv_streams_past_one_chunk(tmp_path, labels):
     rng = np.random.default_rng(3)
     d = validate_dataset(
-        rng.normal(size=(1000, 3)), feature_names=["a", "b,c", 'd"'], labels=rng.integers(5, size=1000)
+        rng.normal(size=(1000, 3)), feature_names=["a", "b,c", 'd"'], labels=labels(rng)
     )
     assert _saved(tmp_path / "new.csv", save_csv, d) == _saved(
         tmp_path / "old.csv", csv_oracle.save_csv, d
