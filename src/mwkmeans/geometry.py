@@ -5,32 +5,32 @@ strictly convex, so its derivative f' is continuous and strictly
 increasing and the minimiser is its root in [min(samples),
 max(samples)]. One root finder serves every caller: it solves all
 columns of all contiguous row blocks at once (the engine's k clusters x
-m features in one pass over the points), and the scalar solver is its
-one-block, one-column case. Each cell starts from a given point (the
-engine passes the previous iteration's centres) or from the block mean,
-steps towards the root until f' changes sign, then closes the bracket
-with Chandrupatla's inverse-quadratic/bisection hybrid (Chandrupatla
-1997, Adv. Eng. Software 28:145); near p = 1, where f' is almost a step,
-it bisects. Every evaluation lies on the grid that bisection of [min,
-max] down to center_tol would visit, and the result is the midpoint of
-the grid cell holding the root, so it does not depend on the start.
-A coarse solve floors that grid at _COARSE_GRID of [min, max]. Both
-grids are powers of two of the same range, so the fine grid refines the
-coarse one: in float64 the coarse answer lies within half a coarse cell
-of the fine one, and a fine solve started from it returns the cold fine
-answer. The engine solves coarse while points still move and fine at
-the end (see engine). Inside the float32 window, 1.09375 <= p <= 64, a
-coarse solve evaluates f' in float32 with float64 sums (mixed precision
-as in Higham & Mary 2022, Acta Numerica 31:347): that moves its root by
-at most 2^-23 (1 + 1/(p - 1)) of the range, so its answer lies within
-half a coarse cell plus that shift of the fine one, under two cells;
-the fine solve from it is unchanged. p = 2 takes the closed-form mean,
-clipped into [min, max] because a rounded mean can leave it by an ulp;
-when a rounding-error bound proves that no cell's mean can leave it
-(_mean_inside), the clip and the min and max it needs are skipped.
-All functions here are pure; _abs_pow is the one |x - z|^p kernel of
-the package, used by every caller (a float32 pass at p = 5 squares
-twice instead).
+m features of every run in its batch in one pass over the points), and
+the scalar solver is its one-block, one-column case. Each cell starts
+from a given point (the engine passes the previous iteration's centres)
+or from the block mean, steps towards the root until f' changes sign,
+then closes the bracket with Chandrupatla's inverse-quadratic/bisection
+hybrid (Chandrupatla 1997, Adv. Eng. Software 28:145); near p = 1, where
+f' is almost a step, it bisects. Every evaluation lies on the grid that
+bisection of [min, max] down to center_tol would visit, and the result
+is the midpoint of the grid cell holding the root, so it does not depend
+on the start. A coarse solve floors that grid at _COARSE_GRID of [min,
+max]. Both grids are powers of two of the same range, so the fine grid
+refines the coarse one: in float64 the coarse answer lies within half a
+coarse cell of the fine one, and a fine solve started from it returns
+the cold fine answer. The engine solves coarse while points still move
+and fine at the end (see engine). Inside the float32 window, 1.09375 <=
+p <= 64, a coarse solve evaluates f' in float32 with float64 sums (mixed
+precision as in Higham & Mary 2022, Acta Numerica 31:347): that moves
+its root by at most 2^-23 (1 + 1/(p - 1)) of the range, so its answer
+lies within half a coarse cell plus that shift of the fine one, under
+two cells; the fine solve from it is unchanged. p = 2 takes the
+closed-form mean, clipped into [min, max] because a rounded mean can
+leave it by an ulp; when a rounding-error bound proves that no cell's
+mean can leave it (_mean_inside), the clip and the min and max it needs
+are skipped. All functions here are pure; _abs_pow is the one |x - z|^p
+kernel of the package, used by every caller (a float32 pass at p = 5
+squares twice instead).
 """
 from __future__ import annotations
 
@@ -164,7 +164,7 @@ def _mean_inside(matrix, offsets, sizes, mean) -> bool:
         return bool((np.abs(0.5 * first - 0.5 * last) > bar).all())
 
 
-def _solve_blocks(matrix, offsets, p: float, center_tol: float, start=None, coarse=False):
+def _solve_blocks(matrix, offsets, p: float, center_tol: float, start=None, coarse=False, block_passes=None):
     """Minkowski centres of every (block, column) cell of a matrix whose
     rows fall into contiguous blocks starting at the given offsets.
 
@@ -183,8 +183,15 @@ def _solve_blocks(matrix, offsets, p: float, center_tol: float, start=None, coar
     stops when its sign-change bracket is one grid cell wide. All cells
     move in lock step, one pass over the matrix per gradient evaluation.
     p = 2 takes the closed-form mean, clipped into [min, max] unless
-    _mean_inside proves the clip idle. Returns the bracket midpoints and widths, each of
-    shape (blocks, m), and the number of passes.
+    _mean_inside proves the clip idle. Returns the bracket midpoints and
+    widths, each of shape (blocks, m), and the number of passes; an
+    integer array block_passes, one entry per block, receives each
+    block's passes: the first one and those in which any of its cells
+    was open.
+
+    A cell's steps depend on its own cell alone, so a block solved next
+    to others gets the bits and the pass count it gets solved alone;
+    the engine stacks the blocks of several runs this way.
 
     A coarse solve inside the float32 window (_F32_MIN_P = 1.09375 <= p
     <= _F32_MAX_P = 64) keeps u, the deviations and their powers in
@@ -204,6 +211,8 @@ def _solve_blocks(matrix, offsets, p: float, center_tol: float, start=None, coar
     if p == 2.0:
         with np.errstate(over="ignore", invalid="ignore"):  # caught below
             mean = np.add.reduceat(matrix, offsets, axis=0) / n
+        if block_passes is not None:
+            block_passes[...] = 0
         if _mean_inside(matrix, offsets, sizes, mean):
             return mean, np.zeros(mean.shape), 0
     lo = np.minimum.reduceat(matrix, offsets, axis=0)
@@ -256,6 +265,7 @@ def _solve_blocks(matrix, offsets, p: float, center_tol: float, start=None, coar
     dq, signed = terms(x1)
     f1 = np.add.reduceat(signed, offsets, axis=0, dtype=float)
     passes = 1
+    opened = []  # each loop pass's open cells, for block_passes
     # (x1, f1) is the newest point, (x2, f2) the far end of the bracket
     # and (x3, f3) the point dropped last. Until a cell's bracket closes,
     # its far end is the block edge towards the root, whose sign is
@@ -277,6 +287,7 @@ def _solve_blocks(matrix, offsets, p: float, center_tol: float, start=None, coar
             active = width > grid
             if not active.any():
                 break
+            opened.append(active)
             if searching:
                 open_ = np.isinf(f2)
                 searching = open_.any()
@@ -311,6 +322,12 @@ def _solve_blocks(matrix, offsets, p: float, center_tol: float, start=None, coar
             x1, f1 = xt, ft
     centre = 0.5 * (x1 + x2)
     centre = np.minimum(np.maximum(lo * (1.0 - centre) + hi * centre, lo), hi)
+    if block_passes is not None:
+        # a cell never reopens, so a block's passes are those of its cell
+        # open longest, the passes of a call that holds the block alone
+        block_passes[...] = 1
+        if opened:
+            block_passes += np.add.reduce(opened, axis=0, dtype=np.intp).max(axis=1)
     return centre, (2.0 * width) * half, passes
 
 
@@ -342,7 +359,7 @@ def minkowski_center_columns(
     start=None,
     *,
     coarse: bool = False,
-    _passes: list | None = None,
+    _block_passes: np.ndarray | None = None,
 ) -> np.ndarray:
     """Column-wise Minkowski centres of an (n, m) matrix.
 
@@ -355,7 +372,9 @@ def minkowski_center_columns(
     passes the previous iteration's centres); it changes how many passes
     the solver makes, not its answer. coarse=True solves on the grid
     _COARSE_GRID of each range where that is coarser than center_tol.
-    _passes, a list, receives the solver's number of gradient passes.
+    _block_passes, an integer array with one entry per block, receives
+    each block's number of gradient passes: those a call holding that
+    block alone would make.
     """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.shape[0] == 0:
@@ -369,7 +388,5 @@ def minkowski_center_columns(
         if start.shape != shape:
             raise DimensionMismatchError(f"start has shape {start.shape}, expected {shape}")
         start = start.reshape(blocks.size, matrix.shape[1])
-    z, _, passes = _solve_blocks(matrix, blocks, p, center_tol, start, coarse)
-    if _passes is not None:
-        _passes.append(passes)
+    z, _, _ = _solve_blocks(matrix, blocks, p, center_tol, start, coarse, _block_passes)
     return z[0] if offsets is None else z

@@ -16,6 +16,7 @@ from typing import Optional
 import numpy as np
 
 from . import theory, weighting
+from .errors import InvalidConfigError
 
 
 @dataclass(frozen=True)
@@ -231,7 +232,15 @@ CHECK_NAMES = [check.__name__.removeprefix("check_").replace("_", "-") for check
 
 def run_all(trials: int = 1000, seed: int = 0, inject_fault: Optional[str] = None) -> list[CheckResult]:
     """Run every check on fresh random instances; returns the results in
-    a fixed order. inject_fault names a check to sabotage deliberately."""
+    a fixed order. inject_fault names a check to sabotage deliberately.
+
+    Raises InvalidConfigError for trials < 1, which would check nothing,
+    and for an inject_fault that names no check, which would sabotage
+    nothing."""
+    if trials < 1:
+        raise InvalidConfigError(f"trials must be >= 1, got {trials}")
+    if inject_fault is not None and inject_fault not in CHECK_NAMES:
+        raise InvalidConfigError(f"inject_fault must be one of {', '.join(CHECK_NAMES)}, got {inject_fault!r}")
     results = []
     for check, name in zip(ALL_CHECKS, CHECK_NAMES):
         rng = np.random.default_rng(seed)

@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from helpers import best_label_agreement, brute_force_objective, grid_search_center, two_blob_dataset
@@ -680,3 +680,144 @@ class TestClassicKMeans:
         sse = float(((x - state.centroids[state.assignments]) ** 2).sum())
         assert state.objective == pytest.approx(sse, rel=1e-12)
         np.testing.assert_array_equal(state.weights, np.full((3, 3), 1 / 3))
+
+
+@pytest.mark.parametrize("k", range(1, 65))
+def test_true_rows_match_argmax(k):
+    """The p = 2 screen reads each point's cluster off a mask with one
+    True per column; a float product gives np.argmax's rows exactly."""
+    rng = np.random.default_rng(k)
+    for n in (0, 1, 7, 5000):
+        mask = np.zeros((k, n), dtype=bool)
+        mask[rng.integers(0, k, n), np.arange(n)] = True
+        rows = engine._true_rows(mask)
+        assert rows.dtype == np.intp
+        np.testing.assert_array_equal(rows, np.argmax(mask, axis=0))
+
+
+def _same(a, b):
+    """Equality of reports, states and events field by field, arrays bit
+    for bit, dtype and shape included."""
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(
+            _same(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a)
+        )
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+    if isinstance(a, (tuple, list)):
+        return type(a) is type(b) and len(a) == len(b) and all(_same(u, v) for u, v in zip(a, b))
+    return type(a) is type(b) and a == b
+
+
+def _outcome(call):
+    """The events an observer sees during call and its result, or the
+    type and message of the MwkError it raises."""
+    events = []
+    try:
+        return events, call(events.append)
+    except MwkError as exc:
+        return events, (type(exc), str(exc))
+
+
+@st.composite
+def batch_problems(draw):
+    m = draw(st.integers(1, 4))
+    distinct = draw(st.integers(1, 10))
+    scale = draw(st.sampled_from([1.0, 10.0]))  # |x - z|^1023 overflows at 10
+    pool = np.array(draw(st.lists(st.floats(-scale, scale), min_size=distinct * m, max_size=distinct * m)))
+    pool = pool.reshape(distinct, m)
+    if draw(st.booleans()):
+        pool[:, 0] = pool[0, 0]  # a constant column
+    # every pooled row at least once, some more often: duplicate rows
+    rows = list(range(distinct)) + draw(st.lists(st.integers(0, distinct - 1), max_size=30))
+    x = pool[draw(st.permutations(rows))]
+    distinct = len(np.unique(x, axis=0))
+    # k equal to the number of distinct points forces repairs
+    k = draw(st.one_of(st.just(distinct), st.integers(1, min(4, len(rows)))))
+    config = MwkConfig(
+        k=k,
+        p=draw(st.sampled_from([1.0 + 1e-6, 1.01, 1.1, 1.5, 2.0, 5.0, 64.0, 130.0, 1023.0])),
+        # 1-3 exercise rule (c), 1e-2 rule (b)
+        max_iter=draw(st.sampled_from([1, 2, 3, 100])),
+        tol_objective=draw(st.sampled_from([0.0, 1e-6, 1e-2])),
+        seed=draw(st.integers(0, 1000)),
+        restarts=draw(st.integers(2, 6)),
+    )
+    return validate_dataset(x), config
+
+
+@settings(max_examples=300, deadline=None)
+@given(batch_problems())
+def test_restarts_equal_separate_runs(problem):
+    """run_restarts, which runs its restarts in lock step, equals separate
+    run calls in seed order: every report field bit for bit, the observer
+    events and their order, and the error raised, if any."""
+    dataset, config = problem
+    separate = _outcome(lambda observer: [
+        run(dataset, dataclasses.replace(config, seed=config.seed + i), observer)
+        for i in range(config.restarts)
+    ])
+
+    def restarts(observer):
+        best, reports = run_restarts(dataset, config, observer)
+        assert best is min(reports, key=lambda r: r.final_state.objective)
+        return reports
+
+    batched = _outcome(restarts)
+    event("raises" if isinstance(separate[1], tuple) else "returns")
+    event(f"repairs: {any(e.n_empty_repaired for e in separate[0])}")
+    event(f"max-iter stops: {any(not r.converged for r in separate[1]) if isinstance(separate[1], list) else None}")
+    assert _same(batched, separate)
+
+
+def test_batch_above_the_row_budget_peaks_as_one_run(monkeypatch):
+    """Restarts that together exceed the row budget run one at a time,
+    so their peak allocation stays within 1.5 times that of one run (the
+    margin holds the earlier runs' reports); stacked, the same restarts
+    peak higher."""
+    tracemalloc = pytest.importorskip("tracemalloc")
+    dataset = _reference_shape(0, n_points=600)
+    config = MwkConfig(k=3, p=1.5, seed=0, max_iter=3, restarts=6)
+
+    def peak(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one = peak(lambda: run(dataset, config))
+    monkeypatch.setattr(engine, "_BATCH_ROWS", 1024)  # above 2 x 600 rows: one run per batch
+    alone = peak(lambda: run_restarts(dataset, config))
+    monkeypatch.setattr(engine, "_BATCH_ROWS", 6 * 600)
+    stacked = peak(lambda: run_restarts(dataset, config))
+    assert alone <= 1.5 * one < stacked
+
+
+class TestStackedCentroids:
+    """update_centroids over the assignments of several runs at once."""
+
+    @pytest.mark.parametrize("p", [1.1, 1.5, 2.0, 5.0])
+    @pytest.mark.parametrize("coarse", [False, True])
+    def test_each_run_gets_the_bits_and_passes_of_its_own_call(self, p, coarse):
+        dataset = _reference_shape(1, n_points=200)
+        rng = np.random.default_rng(30)
+        assignments = rng.integers(0, 4, size=(5, 200))
+        starts = rng.random((5, 4, dataset.m))
+        passes = np.empty(5 * 4, dtype=np.intp)
+        stacked = update_centroids(
+            dataset, assignments, 4, p, 1e-10, starts, coarse=coarse, _block_passes=passes
+        )
+        assert stacked.shape == (5, 4, dataset.m)
+        for r in range(5):
+            alone = np.empty(4, dtype=np.intp)
+            z = update_centroids(dataset, assignments[r], 4, p, 1e-10, starts[r], coarse=coarse, _block_passes=alone)
+            assert stacked[r].tobytes() == z.tobytes()
+            assert passes[4 * r : 4 * r + 4].tolist() == alone.tolist()
+
+    def test_empty_cluster_of_a_later_run_is_named(self):
+        x = np.arange(6.0)[:, None]
+        with pytest.raises(EmptyClusterError) as exc:
+            update_centroids(x, np.array([[0, 1, 2, 0, 1, 2], [0, 0, 2, 2, 0, 2]]), 3, 1.5, 1e-10)
+        assert exc.value.cluster == 1

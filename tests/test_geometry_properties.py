@@ -156,3 +156,31 @@ def test_p2_centres_are_clipped_means_bit_for_bit(problem):
     matrix, offsets = problem
     z = minkowski_center_columns(matrix, 2.0, offsets=offsets)
     assert z.tobytes() == clipped_means(matrix, offsets).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.lists(st.tuples(values, values), min_size=1, max_size=20), min_size=1, max_size=5),
+    st.one_of(solver_exponents, st.just(2.0)),
+    st.booleans(),
+    st.data(),
+)
+def test_stacked_blocks_solve_as_alone(blocks, p, coarse, data):
+    """Blocks solved in one call get the centres, widths and pass counts
+    that each gets in a call of its own, whatever the others need: the
+    engine stacks the clusters of several runs this way."""
+    starts = [np.array(data.draw(st.lists(values, min_size=2, max_size=2)))[None] for _ in blocks]
+    alone = [
+        _solve_blocks(np.array(rows), np.zeros(1, dtype=int), p, DEFAULT_CENTER_TOL, start, coarse)
+        for rows, start in zip(blocks, starts)
+    ]
+    offsets = np.cumsum([0] + [len(rows) for rows in blocks[:-1]])
+    passes = np.full(len(blocks), -1)
+    z, width, total = _solve_blocks(
+        np.concatenate([np.array(rows) for rows in blocks]), offsets, p, DEFAULT_CENTER_TOL,
+        np.concatenate(starts), coarse, passes,
+    )
+    assert z.tobytes() == np.concatenate([a[0] for a in alone]).tobytes()
+    assert width.tobytes() == np.concatenate([a[1] for a in alone]).tobytes()
+    assert passes.tolist() == [a[2] for a in alone]
+    assert total == max(passes)
