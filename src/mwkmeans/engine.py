@@ -7,19 +7,25 @@ emptied cluster is reseeded with the point farthest (by the current
 weighted distance) from its assigned centroid; such iterations may raise
 the objective and are reported separately.
 
-There is one loop, and it runs a batch of runs that differ in their
-seeds alone in lock step: run is the batch of one, and run_restarts
-stacks up to _BATCH_ROWS rows of restarts per batch. Each iteration
-makes one centre solve for the batch's runs on the coarse grid and one
-for the rest (geometry stacks their R x k clusters as blocks), and one
-weight update over their stacked dispersions; assignment and the
+There is one loop, _one_run: one run as plain sequential code in a
+generator that yields at its two batchable steps, the centre solve and
+the weight update, and is sent their answers. _alternate drives a batch
+of runs that differ in their seeds alone in rounds: run is the batch of
+one, and run_restarts stacks up to _BATCH_ROWS rows of restarts per
+batch. Each round advances every waiting run to its next request, then
+answers the centre requests with one update_centroids call per grid
+(coarse, fine; geometry stacks the runs' R x k clusters as blocks) and
+the weight requests with one weight update over the stacked
+dispersions. A block's bits and pass count depend on that block alone,
+so runs at different steps can share a call, and each run gets the
+bits and counts the passes of its own calls; assignment and the
 dispersion product stay one call per run, so each run keeps its own
-BLAS products. The solver reports its passes per block, so each run
-counts the passes it would make alone. Each run stops by its own rules
-below and then leaves the batch, and every run's report, events and
-error equal those of the run alone. Every |x - z|^p, here and in the
-dispersions, is geometry._abs_pow, computed in place. Lloyd's k-means
-baseline is the same loop at p = 2 with every weight frozen at 1.
+BLAS products. Each run stops by its own rules below. A failing run
+ends the runs seeded after it, as running one by one would, and every
+run's report, events and error equal those of the run alone. Every
+|x - z|^p, here and in the dispersions, is geometry._abs_pow, computed
+in place. Lloyd's k-means baseline is the same loop at p = 2 with every
+weight frozen at 1.
 
 At p != 2 the centre solve iterates, and while points still move a
 centre only has to steer the next assignment. So the loop solves on the
@@ -55,7 +61,9 @@ them to assign_points with the points (_Points).
 
 A dispersion that is not finite can only come from an overflow of
 |x - z|^p or of its sum, since data and centres are finite; the loop
-raises DispersionOverflowError, naming p, before the weight step.
+raises DispersionOverflowError, naming p, before the weight step. The
+overflows behind it, in assignment and in the dispersions, raise no
+numpy warning on the way.
 """
 from __future__ import annotations
 
@@ -262,28 +270,26 @@ def update_centroids(
     x = _values(dataset)
     n = x.shape[0]
     assignments = np.asarray(assignments)
-    runs = assignments.shape[0] if assignments.ndim == 2 else 0
-    if runs:  # run r's clusters become blocks r k, ..., r k + k - 1
-        keys = check_assignments(assignments.reshape(-1), k, runs * n).reshape(runs, n)
-        keys = (keys + k * np.arange(runs)[:, None]).reshape(-1)
-    else:
-        keys = check_assignments(assignments, k, n)
-    blocks = max(runs, 1) * k
-    counts = np.bincount(keys, minlength=blocks)
+    runs = assignments.shape[0] if assignments.ndim == 2 else 1  # 1-D: one run
+    blocks = runs * k
+    # run r's clusters become blocks r k, ..., r k + k - 1, as keys of the
+    # smallest integer type, which numpy radix sorts
+    keys = check_assignments(assignments.reshape(-1), k, runs * n).astype(np.min_scalar_type(blocks - 1))
+    keys = keys.reshape(runs, n)
+    keys += (k * np.arange(runs)).astype(keys.dtype)[:, None]
+    counts = np.bincount(keys.reshape(-1), minlength=blocks)
     if (counts == 0).any():
         raise EmptyClusterError(int(np.flatnonzero(counts == 0)[0]) % k)
-    # stable, so each cluster keeps its points in data order; numpy radix
-    # sorts small integer types, and a stable sort's permutation is unique
-    order = np.argsort(keys.astype(np.min_scalar_type(blocks - 1)), kind="stable")
-    if runs:  # run r's n points fill rows r n to r n + n - 1
-        order.reshape(runs, n)[...] -= n * np.arange(runs)[:, None]
-        start = None if start is None else np.reshape(start, (blocks, -1))
+    # stable, so each cluster keeps its points in data order, and a
+    # stable sort's permutation is unique; each run's row sorts alone
+    order = np.argsort(keys, axis=1, kind="stable")
     offsets = np.cumsum(counts) - counts
     z = minkowski_center_columns(
-        np.take(x, order, axis=0), p, center_tol, offsets, start,
+        np.take(x, order.reshape(-1), axis=0), p, center_tol, offsets,
+        None if start is None else np.reshape(start, (blocks, -1)),
         coarse=coarse, _block_passes=_block_passes,
     )
-    return z.reshape(runs, k, -1) if runs else z
+    return z.reshape(assignments.shape[:-1] + (k, -1))
 
 
 def _repair_empty(x, assignments, centroids, weights, p, k) -> int:
@@ -330,193 +336,136 @@ WeightStep = Callable[[np.ndarray, float], np.ndarray]
 _BATCH_ROWS = 2**15
 
 
-@dataclass
-class _Iteration:
-    """What one run did in its current iteration, filled in as the loop
-    goes: the run's EngineEvent, less the iteration, and whether the
-    iteration kept its centres (settled)."""
-
-    n_reassigned: int
-    n_empty_repaired: int
-    settled: bool
-    objective: float = np.nan
-    center_passes: int = 0
-    resolved_fine: bool = False
-
-
-@dataclass(eq=False)
-class _Run:
-    """One run's state in a batch of _alternate."""
-
-    centroids: np.ndarray
-    weights: np.ndarray
-    coarse: bool  # solving on the coarse grid
-    assignments: Optional[np.ndarray] = None
-    dispersions: Optional[DispersionMatrix] = None
-    record: Optional[_Iteration] = None
-    trace: list = dataclasses.field(default_factory=list)
-    repair_iters: list = dataclasses.field(default_factory=list)
-    events: list = dataclasses.field(default_factory=list)  # held back for the observer
-    converged: bool = False
-    error: Optional[DispersionOverflowError] = None
-
-    def report(self) -> RunReport:
-        state = ClusteringState(
-            assignments=self.assignments,
-            centroids=self.centroids,
-            weights=self.weights,
-            objective=self.trace[-1],
-        )
-        return RunReport(
-            objective_trace=tuple(self.trace),
-            final_state=state,
-            dispersions=self.dispersions,
-            bounds=None,
-            normalised_objective=None,
-            iterations=len(self.trace),
-            converged=self.converged,
-            repair_iterations=tuple(self.repair_iters),
-        )
-
-
-def _block_step(x, runs, config: MwkConfig, weight_step: WeightStep, count_passes: bool) -> bool:
-    """The centre, dispersion and weight steps of each run on its own
-    assignments, warm-started from its centroids: one update_centroids
-    call for the runs on the coarse grid and one for the others, one
-    compute_dispersions call per run, and one weight_step call over the
-    runs' stacked dispersions. Each run gets the bits of its own calls
-    and, if count_passes, adds their solver passes to its record. A run
-    whose dispersions overflow takes DispersionOverflowError as its
-    error and keeps its weights; returns whether any did."""
-    k, p = config.k, config.p
-    groups: dict[bool, list] = {}
-    for run in runs:
-        groups.setdefault(run.coarse, []).append(run)
-    for coarse, group in groups.items():
-        if len(group) == 1:
-            assignments, start = group[0].assignments, group[0].centroids
-        else:
-            assignments = np.stack([run.assignments for run in group])
-            start = np.stack([run.centroids for run in group])
-        passes = np.empty((len(group), k), dtype=np.intp) if count_passes else None
-        centroids = update_centroids(
-            x, assignments, k, p, config.center_tol, start, coarse=coarse,
-            _block_passes=None if passes is None else passes.reshape(-1),
-        )
-        for run, z in zip(group, centroids.reshape(len(group), k, -1)):
-            run.centroids = z
-        if passes is not None:
-            # a run alone makes as many passes as its slowest block
-            for run, run_passes in zip(group, passes.max(axis=1).tolist()):
-                run.record.center_passes += run_passes
-    weighed = []
-    for run in runs:
-        run.dispersions = compute_dispersions(x, run.assignments, run.centroids, p)
-        if np.isfinite(run.dispersions.d).all():  # data and centres are finite
-            weighed.append(run)
-        else:
-            run.error = DispersionOverflowError(p)
-    if len(weighed) == 1:
-        weighed[0].weights = weight_step(weighed[0].dispersions.d, p)
-    elif weighed:
-        weights = weight_step(np.concatenate([run.dispersions.d for run in weighed]), p)
-        for i, run in enumerate(weighed):
-            run.weights = weights[i * k : (i + 1) * k]
-    return len(weighed) < len(runs)
-
-
-def _before_failure(runs, live):
-    """The live runs that come before every failed run: run one by one
-    in seed order, the first failure would end the others unstarted."""
-    for i, run in enumerate(runs):
-        if run.error is not None:
-            earlier = runs[:i]
-            return [run for run in live if run in earlier]
-    return live
+def _one_run(x, points, config: MwkConfig, weights, events: Optional[list]):
+    """One run of the alternating loop from the seeded start of config,
+    as a generator that hands out its two batchable steps: it yields
+    ("centres", assignments, start, coarse) and is sent (centroids,
+    passes), the passes being those the solve makes for this run alone,
+    and it yields ("weights", dispersions) and is sent the weights.
+    Appends its EngineEvents to events unless that is None, and returns
+    its report without bounds. Raises DispersionOverflowError where a
+    dispersion is not finite."""
+    n = x.shape[0]
+    k, p, tol = config.k, config.p, config.tol_objective
+    centroids = x[np.random.default_rng(config.seed).choice(n, size=k, replace=False)].astype(float)
+    # only the iterative solver (p != 2) has a grid to coarsen; without
+    # a coarse grid the loop solves fine throughout
+    coarse = p != 2.0 and geometry._COARSE_GRID > 0.0
+    assignments = dispersions = None
+    trace, repair_iters = [], []
+    converged = False
+    for it in range(config.max_iter):
+        # an overflow gives an infinite distance or dispersion, which
+        # argmin and argmax take and DispersionOverflowError names; numpy's
+        # error state is a context variable, so no yield sits inside a with
+        with np.errstate(over="ignore", invalid="ignore"):
+            new = assign_points(points, centroids, weights, p)
+            n_reassigned = n if assignments is None else int(np.count_nonzero(new != assignments))
+            repairs = _repair_empty(x, new, centroids, weights, p, k)  # after the count: it edits new
+        # the same assignments as last time give the same centres,
+        # dispersions, weights and objective, so they are kept
+        settled = assignments is not None and n_reassigned == 0 and repairs == 0
+        if coarse and (settled or it == config.max_iter - 1):  # rules (a) and (c)
+            coarse = settled = False
+        assignments = new
+        if settled:
+            objective = _objective(weights, dispersions, p)
+        passes, resolved_fine = 0, False
+        while not settled:
+            centroids, solve_passes = yield "centres", assignments, centroids, coarse
+            passes += solve_passes
+            with np.errstate(over="ignore", invalid="ignore"):
+                dispersions = compute_dispersions(x, assignments, centroids, p)
+            if not np.isfinite(dispersions.d).all():  # data and centres are finite
+                raise DispersionOverflowError(p)
+            weights = yield "weights", dispersions.d
+            objective = _objective(weights, dispersions, p)
+            # rule (b) and the guard re-solve the same partition fine
+            if not (coarse and trace and (
+                _stalled(trace[-1], objective, tol) or (objective > trace[-1] and not repairs)
+            )):
+                break
+            coarse, resolved_fine = False, True
+        trace.append(objective)
+        if repairs:
+            repair_iters.append(it)
+        if events is not None:
+            events.append(EngineEvent(it, objective, n_reassigned, repairs, passes, resolved_fine))
+        converged = settled or (len(trace) > 1 and _stalled(trace[-2], trace[-1], tol))
+        if converged:
+            break
+    return RunReport(
+        objective_trace=tuple(trace),
+        final_state=ClusteringState(assignments, centroids, weights, trace[-1]),
+        dispersions=dispersions,
+        bounds=None,
+        normalised_objective=None,
+        iterations=len(trace),
+        converged=converged,
+        repair_iterations=tuple(repair_iters),
+    )
 
 
 def _alternate(
     x: np.ndarray, configs: list, weight_step: WeightStep, observer: Optional[Observer]
 ) -> list[RunReport]:
     """The alternating loop of run, run_restarts and run_classic_kmeans:
-    the runs of configs, which differ in their seeds alone, in lock step
-    (see the module docstring), with the weight step as a parameter;
-    initial weights are its answer for equal dispersions. Returns one
-    report per config, each without bounds and equal to that of the
-    config alone; the observer sees the events of the configs one by
-    one, in order. Where a run raises, the observer sees what it would
-    have seen up to that point had the runs gone one by one, and the
-    error of the first failing run is raised."""
+    the runs of configs, which differ in their seeds alone, each a
+    _one_run driven in rounds (see the module docstring), with the
+    weight step as a parameter; initial weights are its answer for equal
+    dispersions. Returns one report per config, each without bounds and
+    equal to that of the config alone; the observer sees the events of
+    the configs one by one, in order. Where a run raises, the observer
+    sees what it would have seen up to that point had the runs gone one
+    by one, and the error of the first failing run is raised."""
     n, m = x.shape
-    config = configs[0]
-    k, p, tol = config.k, config.p, config.tol_objective
+    k, p, center_tol = configs[0].k, configs[0].p, configs[0].center_tol
     if k > n:
         raise InvalidConfigError(f"k={k} exceeds n={n}")
     weights = weight_step(np.ones((k, m)), p)
-    # only the iterative solver (p != 2) has a grid to coarsen; without
-    # a coarse grid the loop solves fine throughout
-    coarse = p != 2.0 and geometry._COARSE_GRID > 0.0
-    runs = [
-        _Run(x[np.random.default_rng(c.seed).choice(n, size=k, replace=False)].astype(float), weights, coarse)
-        for c in configs
-    ]
     points = _Points(x, _squares(x)) if p == 2.0 else x
-    live = runs
-    for it in range(config.max_iter):
-        for run in live:
-            assignments = assign_points(points, run.centroids, run.weights, p)
-            prev = run.assignments
-            n_reassigned = n if prev is None else int(np.count_nonzero(assignments != prev))
-            repairs = _repair_empty(x, assignments, run.centroids, run.weights, p, k)
-            # the same assignments as last time give the same centres,
-            # dispersions and weights, so they are kept
-            settled = prev is not None and n_reassigned == 0 and repairs == 0
-            if run.coarse and (settled or it == config.max_iter - 1):  # rules (a) and (c)
-                run.coarse = settled = False
-            run.assignments = assignments
-            run.record = _Iteration(n_reassigned, repairs, settled)
-        solving = [run for run in live if not run.record.settled]
-        if solving and _block_step(x, solving, config, weight_step, observer is not None):
-            live = _before_failure(runs, live)
-        resolving = []
-        for run in live:
-            record, trace = run.record, run.trace
-            record.objective = _objective(run.weights, run.dispersions, p)
-            # rule (b) and the guard
-            if run.coarse and trace and (
-                _stalled(trace[-1], record.objective, tol)
-                or (record.objective > trace[-1] and not record.n_empty_repaired)
-            ):
-                run.coarse = False
-                record.resolved_fine = True
-                resolving.append(run)
-        if resolving and _block_step(x, resolving, config, weight_step, observer is not None):
-            live = _before_failure(runs, live)
-        for run in live:
-            record, trace = run.record, run.trace
-            if record.resolved_fine:
-                record.objective = _objective(run.weights, run.dispersions, p)
-            trace.append(record.objective)
-            if record.n_empty_repaired:
-                run.repair_iters.append(it)
-            if observer is not None:
-                run.events.append(EngineEvent(
-                    it, record.objective, record.n_reassigned, record.n_empty_repaired,
-                    record.center_passes, record.resolved_fine,
-                ))
-            run.converged = record.settled or (len(trace) > 1 and _stalled(trace[-2], trace[-1], tol))
-        live = [run for run in live if not run.converged]
-        if not live:
-            break
-    reports = []
-    for run in runs:
-        if observer is not None:
-            for event in run.events:
-                observer(event)
-        if run.error is not None:
-            raise run.error
-        reports.append(run.report())
-    return reports
+    events = [[] for _ in configs]  # held back for the observer
+    runs = [
+        _one_run(x, points, config, weights, None if observer is None else run_events)
+        for config, run_events in zip(configs, events)
+    ]
+    outcomes = [None] * len(runs)  # each run's report or error
+    answers = dict.fromkeys(range(len(runs)))  # each waiting run, in seed order, and what it is sent
+    while answers:
+        requests = {}
+        for i, answer in answers.items():
+            try:
+                requests[i] = runs[i].send(answer)
+            except StopIteration as stop:
+                outcomes[i] = stop.value
+            except DispersionOverflowError as error:
+                # run one by one in seed order, the first failure would
+                # end the later runs unstarted
+                outcomes[i] = error
+                break
+        answers = dict.fromkeys(requests)
+        for grid in (True, False):
+            solving = [i for i, request in requests.items() if request[0] == "centres" and request[3] == grid]
+            if solving:
+                _, assignments, starts, _ = zip(*(requests[i] for i in solving))
+                passes = None if observer is None else np.empty((len(solving), k), dtype=np.intp)
+                centroids = update_centroids(
+                    x, np.stack(assignments), k, p, center_tol, np.stack(starts), coarse=grid,
+                    _block_passes=None if passes is None else passes.reshape(-1),
+                )
+                # a run alone makes as many passes as its slowest block
+                run_passes = [0] * len(solving) if passes is None else passes.max(axis=1).tolist()
+                answers.update(zip(solving, zip(centroids, run_passes)))
+        weighing = [i for i, request in requests.items() if request[0] == "weights"]
+        if weighing:
+            stacked = weight_step(np.concatenate([requests[i][1] for i in weighing]), p)
+            answers.update((i, stacked[j * k : (j + 1) * k]) for j, i in enumerate(weighing))
+    for outcome, run_events in zip(outcomes, events):
+        for event in run_events:
+            observer(event)
+        if isinstance(outcome, DispersionOverflowError):
+            raise outcome
+    return outcomes
 
 
 def _with_bounds(report: RunReport, p: float) -> RunReport:
@@ -546,8 +495,8 @@ def run_restarts(
     returns (best run by final objective, all runs in seed order).
 
     The runs go through the loop in batches of max(1, _BATCH_ROWS // n)
-    runs in lock step, one stacked centre solve and one weight update
-    per iteration for the whole batch. Each report, each observer event
+    runs in lock step, one stacked centre solve per grid and one weight
+    update per round for the whole batch. Each report, each observer event
     and their order equal those of separate run calls in seed order, as
     does the error raised; a batch of one run is a run call.
     """

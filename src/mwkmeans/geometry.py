@@ -287,7 +287,8 @@ def _solve_blocks(matrix, offsets, p: float, center_tol: float, start=None, coar
             active = width > grid
             if not active.any():
                 break
-            opened.append(active)
+            if block_passes is not None:
+                opened.append(active)
             if searching:
                 open_ = np.isinf(f2)
                 searching = open_.any()

@@ -359,6 +359,17 @@ class TestRun:
         assert isinstance(exc.value, MwkError)
         assert exc.value.p == 3.0 and "p = 3" in str(exc.value)
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_raises_without_numpy_warnings(self):
+        """The overflows behind DispersionOverflowError, in assignment and
+        in the dispersions, warn of nothing on the way, and numpy's error
+        state is as it was afterwards."""
+        x = np.random.default_rng(0).standard_normal((300, 4)) * 1e150
+        before = np.geterr()
+        with pytest.raises(DispersionOverflowError):
+            run(validate_dataset(x), MwkConfig(k=3, p=3.0))
+        assert np.geterr() == before
+
     def test_k_exceeding_n_rejected(self):
         ds = validate_dataset([[0.0], [1.0]])
         with pytest.raises(InvalidConfigError):
@@ -768,6 +779,48 @@ def test_restarts_equal_separate_runs(problem):
     event(f"repairs: {any(e.n_empty_repaired for e in separate[0])}")
     event(f"max-iter stops: {any(not r.converged for r in separate[1]) if isinstance(separate[1], list) else None}")
     assert _same(batched, separate)
+
+
+def test_first_failure_in_seed_order_wins(monkeypatch):
+    """Where a later seed's dispersions overflow in an earlier round of
+    the lock step than an earlier seed's, run_restarts raises as separate
+    run calls in seed order do: the observer sees the earlier seed's
+    iterations up to its failure and nothing of the later seeds. The
+    overflows are forced: compute_dispersions returns an infinite matrix
+    for seed 0's third call and seed 1's first, recorded from single
+    runs."""
+    dataset = _reference_shape(2, n_points=300)
+    config = MwkConfig(k=3, p=1.5, seed=0, restarts=3)
+    calls = []  # the assignments of each compute_dispersions call
+
+    def recording(values, assignments, centroids, p):
+        calls.append(assignments.tobytes())
+        return compute_dispersions(values, assignments, centroids, p)
+
+    monkeypatch.setattr(engine, "compute_dispersions", recording)
+    run(dataset, config)
+    first = calls[:]
+    calls.clear()
+    run(dataset, dataclasses.replace(config, seed=1))
+    poison = {first[2], calls[0]}
+    assert first[2] not in first[:2] and calls[0] not in first[:2]
+
+    def overflowing(values, assignments, centroids, p):
+        result = compute_dispersions(values, assignments, centroids, p)
+        if assignments.tobytes() in poison:
+            return dataclasses.replace(result, d=np.full_like(result.d, np.inf))
+        return result
+
+    monkeypatch.setattr(engine, "compute_dispersions", overflowing)
+    separate = _outcome(lambda observer: [
+        run(dataset, dataclasses.replace(config, seed=config.seed + i), observer)
+        for i in range(config.restarts)
+    ])
+    events, error = separate
+    # seed 0 fails after one or more whole iterations, seed 1 in its first
+    assert error[0] is DispersionOverflowError
+    assert [e.iteration for e in events] == list(range(len(events))) and events
+    assert _same(_outcome(lambda observer: run_restarts(dataset, config, observer)[1]), separate)
 
 
 def test_batch_above_the_row_budget_peaks_as_one_run(monkeypatch):
