@@ -54,9 +54,9 @@ def _report_to_dict(report) -> dict:
 
 
 def _write_json(path, payload) -> None:
+    # one write: json.dump with an indent writes chunk by chunk
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _spec(args, seed: int) -> SyntheticSpec:

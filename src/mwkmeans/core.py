@@ -4,8 +4,9 @@ All matrices are float64 numpy arrays, indexed 0-based: rows are points
 or clusters, columns are features. Objects are frozen after construction
 and hold read-only copies of the arrays they are given, so they can be
 shared across concurrent restarts and never freeze the caller's arrays.
-The one exception is Dataset._adopt, through which the package hands
-over arrays it has just built and holds no other reference to.
+The exceptions are Dataset._adopt and DispersionMatrix._adopt, through
+which the package hands over arrays it has just built and holds no
+other reference to.
 """
 from __future__ import annotations
 
@@ -200,6 +201,15 @@ class DispersionMatrix:
     def __post_init__(self):
         object.__setattr__(self, "d", _freeze(np.asarray(self.d, dtype=float)))
 
+    @classmethod
+    def _adopt(cls, d: np.ndarray) -> "DispersionMatrix":
+        """A DispersionMatrix holding d, a float64 array the package has
+        just built and keeps no other reference to, made read-only in
+        place instead of copied (as Dataset._adopt)."""
+        matrix = object.__new__(cls)
+        object.__setattr__(matrix, "d", _seal(d))
+        return matrix
+
     @property
     def k(self) -> int:
         return self.d.shape[0]
@@ -220,9 +230,9 @@ def check_assignments(assignments, k: int, n: int) -> np.ndarray:
         )
     if assignments.shape != (n,):
         raise DimensionMismatchError(f"expected {n} assignments, got shape {assignments.shape}")
-    outside = (assignments < 0) | (assignments >= k)
-    if outside.any():
-        i = int(np.flatnonzero(outside)[0])
+    # two reductions test the range; the mask is built only to name the point
+    if n and (assignments.min() < 0 or assignments.max() >= k):
+        i = int(np.flatnonzero((assignments < 0) | (assignments >= k))[0])
         raise DimensionMismatchError(
             f"point {i} is assigned to cluster {assignments[i]}, outside [0, {k})"
         )
@@ -242,7 +252,7 @@ def compute_dispersions(
     assignments = check_assignments(assignments, centroids.shape[0], values.shape[0])
     members = np.arange(centroids.shape[0])[:, None] == assignments
     dev = np.take(centroids, assignments, axis=0)  # a fresh array, so the powers go in place
-    return DispersionMatrix(d=members @ _abs_pow(np.subtract(values, dev, out=dev), p, out=dev))
+    return DispersionMatrix._adopt(members @ _abs_pow(np.subtract(values, dev, out=dev), p, out=dev))
 
 
 @dataclass(frozen=True)

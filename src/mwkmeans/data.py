@@ -204,13 +204,13 @@ def _numbered_rows(fh):
 
 def _read_header(fh, has_labels: bool):
     """Read fh up to its first data row; returns (header or None, the
-    line of the first data row)."""
+    line of the first data row, the cells in that row)."""
     rows = _numbered_rows(fh)
     line, first = next(rows, (1, None))
     if first is None:
         raise CsvParseError(1, 0, "file is empty")
     if all(_is_number(tok) for tok in (first[:-1] if has_labels else first)):
-        return None, line
+        return None, line, len(first)
     header_line, header = line, first
     line, first = next(rows, (header_line + 1, None))
     if first is None:
@@ -219,18 +219,36 @@ def _read_header(fh, has_labels: bool):
         raise CsvParseError(
             header_line, 0, f"header has {len(header)} cells, rows have {len(first)}"
         )
-    return header, line
+    return header, line, len(first)
 
 
-def _read_c(fh, skip: int, has_labels: bool):
-    """Parse the data rows with numpy's C reader, skipping the first
-    skip physical lines. Returns (values, label tokens or None); raises
-    ValueError for anything the reader does not take as a float, for a
-    ragged row, and for a file holding any of _SEPARATORS."""
+def _read_c(fh, skip: int, width: int, has_labels: bool):
+    """Parse the data rows, width cells each, with numpy's C reader,
+    skipping the first skip physical lines. Returns (values, int64
+    labels or label tokens or None); raises ValueError for anything the
+    reader does not take as a float, for a ragged row, and for a file
+    holding any of _SEPARATORS.
+
+    With labels, one pass first parses each row as width - 1 floats and
+    an int64 label. numpy's int64 parser takes only ASCII digits with an
+    optional sign and surrounding blanks, tokens that int() reads as the
+    same integer. Where it raises ValueError (any other label, or
+    anything else the passes below reject), a float pass and a pass over
+    the label tokens run instead, as they did for every labelled file."""
     fh.seek(0)
     for chunk in iter(lambda: fh.read(1 << 16), ""):
         if any(sep in chunk for sep in _SEPARATORS):
             raise ValueError("file holds an ASCII separator")
+    if has_labels and width > 1:
+        fh.seek(0)
+        fields = [("values", float, (width - 1,)), ("label", np.int64)]
+        try:
+            rows = np.loadtxt(fh, skiprows=skip, dtype=fields, ndmin=1, **_C_READER)
+        except ValueError:
+            pass
+        else:  # the records, without padding, are rows of width float64 cells
+            labels = rows["label"].copy()
+            return _drop_last_column(rows.view(float).reshape(len(rows), width)), labels
     fh.seek(0)
     values = np.loadtxt(fh, skiprows=skip, ndmin=2, **_C_READER)
     if not has_labels:
@@ -314,21 +332,23 @@ def load_csv(path, has_labels: bool = False) -> Dataset:
     The header is read with csv.reader. The data rows then go through
     numpy's C reader (np.loadtxt), which converts each cell with the
     same correctly rounded routine float() uses and keeps no Python
-    object per feature cell (one str per label), so memory stays a small
-    multiple of the values' bytes. When it rejects anything (a quoted
-    cell, a ragged row, a bad token, a token only float() takes, such as
-    '1_000', or a label that is not a number), or the file holds a
-    character from \\x1c to \\x1f (numpy strips them from the ends of a
-    token, float() does not), the rows are parsed again with csv.reader
-    and float() per cell. That gives the same values, or raises
-    CsvParseError at the first malformed cell, counting physical lines.
+    object per feature cell, so memory stays a small multiple of the
+    values' bytes. Integer labels are parsed with the values in that one
+    pass; other numeric labels take a second pass that keeps one str
+    each. When the reader rejects anything (a quoted cell, a ragged row,
+    a bad token, a token only float() takes, such as '1_000', or a label
+    that is not a number), or the file holds a character from \\x1c to
+    \\x1f (numpy strips them from the ends of a token, float() does not),
+    the rows are parsed again with csv.reader and float() per cell. That
+    gives the same values, or raises CsvParseError at the first
+    malformed cell, counting physical lines.
     A byte the text encoding cannot decode also raises CsvParseError.
     """
     try:
         with open(path, newline="") as fh:
-            header, first_line = _read_header(fh, has_labels)
+            header, first_line, width = _read_header(fh, has_labels)
             try:
-                values, tokens = _read_c(fh, first_line - 1, has_labels)
+                values, tokens = _read_c(fh, first_line - 1, width, has_labels)
             except UnicodeDecodeError:
                 raise
             except ValueError:
@@ -338,7 +358,7 @@ def load_csv(path, has_labels: bool = False) -> Dataset:
     labels = None
     if tokens is not None:
         try:
-            labels = np.array(tokens, dtype=int)
+            labels = np.asarray(tokens, dtype=int)
         except (ValueError, OverflowError):
             labels = np.array(tokens, dtype=str)
     names = header[: values.shape[1]] if header is not None else None

@@ -20,7 +20,11 @@ dispersions. A block's bits and pass count depend on that block alone,
 so runs at different steps can share a call, and each run gets the
 bits and counts the passes of its own calls; assignment and the
 dispersion product stay one call per run, so each run keeps its own
-BLAS products. Each run stops by its own rules below. A failing run
+BLAS products. The centre solver works feature-major (see geometry): a
+batch makes the C-contiguous (m, n) transpose of its points once
+(_Points.columns), and update_centroids gathers each call's samples,
+sorted by cluster, from it, so each (feature, cluster) cell is one
+contiguous run. Each run stops by its own rules below. A failing run
 ends the runs seeded after it, as running one by one would, and every
 run's report, events and error equal those of the run alone. Every
 |x - z|^p, here and in the dispersions, is geometry._abs_pow, computed
@@ -115,13 +119,17 @@ Observer = Callable[[EngineEvent], None]
 
 @dataclass(frozen=True)
 class _Points:
-    """A batch's points with _squares(values), the terms of the p = 2
-    screen that depend on the points alone. The loop passes it to
-    assign_points in place of the points, so the squares are computed
-    once per batch; every other caller's call computes its own."""
+    """A batch's points with what the loop derives from them alone, once
+    per batch: at p = 2 _squares(values), the terms of the p = 2 screen
+    (None at other p), and columns, the C-contiguous (m, n) transpose
+    that update_centroids gathers the centre solver's feature-major
+    samples from. The loop passes it to assign_points and
+    update_centroids in place of the points; every other caller's call
+    derives its own."""
 
     values: np.ndarray
-    squares: tuple
+    squares: Optional[tuple]
+    columns: np.ndarray
 
 
 def _values(dataset) -> np.ndarray:
@@ -258,6 +266,12 @@ def update_centroids(
     previous centroids, warm-starts the solver; coarse and _block_passes
     go to minkowski_center_columns.
 
+    The points are gathered feature-major, from the (m, n) transpose of
+    the data into an (m, R n) array in which each (feature, cluster)
+    cell is one contiguous run, and the solver gets its (R n, m) .T
+    view, which it transposes back for free. The loop's _Points carry
+    the transpose; any other dataset pays one transposing gather.
+
     Assignments of shape (R, n), those of R runs over the same points,
     give (R, k, m) centres from one solver call over all R x k clusters,
     with start of that shape; each run's centres have the bits of its
@@ -269,6 +283,7 @@ def update_centroids(
     """
     x = _values(dataset)
     n = x.shape[0]
+    columns = dataset.columns if isinstance(dataset, _Points) else x.T
     assignments = np.asarray(assignments)
     runs = assignments.shape[0] if assignments.ndim == 2 else 1  # 1-D: one run
     blocks = runs * k
@@ -276,7 +291,7 @@ def update_centroids(
     # smallest integer type, which numpy radix sorts
     keys = check_assignments(assignments.reshape(-1), k, runs * n).astype(np.min_scalar_type(blocks - 1))
     keys = keys.reshape(runs, n)
-    keys += (k * np.arange(runs)).astype(keys.dtype)[:, None]
+    keys += np.arange(0, blocks, k, dtype=keys.dtype)[:, None]
     counts = np.bincount(keys.reshape(-1), minlength=blocks)
     if (counts == 0).any():
         raise EmptyClusterError(int(np.flatnonzero(counts == 0)[0]) % k)
@@ -285,7 +300,7 @@ def update_centroids(
     order = np.argsort(keys, axis=1, kind="stable")
     offsets = np.cumsum(counts) - counts
     z = minkowski_center_columns(
-        np.take(x, order.reshape(-1), axis=0), p, center_tol, offsets,
+        np.take(columns, order.reshape(-1), axis=1).T, p, center_tol, offsets,
         None if start is None else np.reshape(start, (blocks, -1)),
         coarse=coarse, _block_passes=_block_passes,
     )
@@ -296,12 +311,25 @@ def _repair_empty(x, assignments, centroids, weights, p, k) -> int:
     """Reseed each empty cluster, in index order, with the point farthest
     from its currently assigned centroid (restricted to clusters of size
     >= 2, so no repair empties another cluster). Mutates assignments in
-    place; returns the number of repairs."""
+    place; returns the number of repairs.
+
+    Where a weighted distance overflows to inf (or is NaN, an underflowed
+    w^p times an overflowed |x - z|^p), the points are ranked by the log
+    of their distances instead, log-sum-exp over the features of
+    p (log w + log |x - z|), in which no term overflows; a zero weight
+    makes its term count for nothing. Finite distances are ranked as
+    they are."""
     counts = np.bincount(assignments, minlength=k)
     if counts.all():
         return 0
     dev = x - centroids[assignments]
-    per_point = np.einsum("iv,iv->i", _abs_pow(dev, p, out=dev), weights[assignments] ** p)
+    w = weights[assignments]
+    per_point = np.einsum("iv,iv->i", _abs_pow(dev, p, out=dev), w**p)
+    if not np.isfinite(per_point).all():
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logs = p * (np.log(w) + np.log(np.abs(x - centroids[assignments])))
+        logs[w == 0.0] = -np.inf
+        per_point = np.logaddexp.reduce(logs, axis=1)
     empty = np.flatnonzero(counts == 0)
     for l in empty:
         eligible = counts[assignments] >= 2
@@ -423,7 +451,7 @@ def _alternate(
     if k > n:
         raise InvalidConfigError(f"k={k} exceeds n={n}")
     weights = weight_step(np.ones((k, m)), p)
-    points = _Points(x, _squares(x)) if p == 2.0 else x
+    points = _Points(x, _squares(x) if p == 2.0 else None, np.ascontiguousarray(x.T))
     events = [[] for _ in configs]  # held back for the observer
     runs = [
         _one_run(x, points, config, weights, None if observer is None else run_events)
@@ -450,7 +478,7 @@ def _alternate(
                 _, assignments, starts, _ = zip(*(requests[i] for i in solving))
                 passes = None if observer is None else np.empty((len(solving), k), dtype=np.intp)
                 centroids = update_centroids(
-                    x, np.stack(assignments), k, p, center_tol, np.stack(starts), coarse=grid,
+                    points, np.array(assignments), k, p, center_tol, np.array(starts), coarse=grid,
                     _block_passes=None if passes is None else passes.reshape(-1),
                 )
                 # a run alone makes as many passes as its slowest block

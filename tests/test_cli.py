@@ -92,6 +92,17 @@ class TestCluster:
         assert "error: line" in capsys.readouterr().err
 
 
+def test_json_is_written_as_json_dump_writes_it(tmp_path):
+    """One write of json.dumps gives the bytes json.dump gives."""
+    payload = {"b": [1.5, -0.0, float("nan"), 1e300], "a": {"z": "x\u00e9\n", "n": None}, "c": [[]]}
+    path = tmp_path / "r.json"
+    cli._write_json(path, payload)
+    with open(tmp_path / "expected.json", "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    assert path.read_bytes() == (tmp_path / "expected.json").read_bytes()
+
+
 class TestGenerate:
     def test_reference_defaults(self, tmp_path):
         out = tmp_path / "data.csv"

@@ -179,6 +179,23 @@ class TestDispersions:
         with pytest.raises(DimensionMismatchError, match="expected 3 assignments"):
             compute_dispersions(x, np.array([0, 1]), np.array([[0.0], [10.0]]), 2.0)
 
+    def test_matrix_is_adopted_read_only(self):
+        """The fresh product is held as it is, read-only, not copied."""
+        x = np.array([[0.0, 1.0], [2.0, 5.0], [4.0, 3.0]])
+        d = compute_dispersions(x, np.array([0, 0, 1]), np.array([[1.0, 3.0], [4.0, 4.0]]), 2.0).d
+        assert not d.flags.writeable and d.flags.c_contiguous and d.flags.owndata
+        with pytest.raises(ValueError):
+            d[0, 0] = 1.0
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int8, np.int64])
+    def test_range_checked_in_any_integer_type(self, dtype):
+        x = np.array([[0.0], [1.0], [2.0]])
+        centroids = np.array([[0.0], [2.0]])
+        d = compute_dispersions(x, np.array([0, 1, 1], dtype=dtype), centroids, 2.0).d
+        np.testing.assert_array_equal(d, [[0.0], [1.0]])
+        with pytest.raises(DimensionMismatchError, match=r"point 1 .* 2\b"):
+            compute_dispersions(x, np.array([0, 2, 2], dtype=dtype), centroids, 2.0)
+
     @pytest.mark.parametrize(
         "assignments",
         [[0.0, 1.0, 0.0, 1.0], [False, True, False, True], ["0", "1", "0", "1"]],

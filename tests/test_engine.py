@@ -1,4 +1,5 @@
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -276,6 +277,42 @@ class TestRepairEmpty:
         assignments = np.array([0, 1, 2])
         assert engine._repair_empty(self.X[:3], assignments, self.CENTROIDS, self.WEIGHTS, 2.0, 4) == 0
         np.testing.assert_array_equal(assignments, [0, 1, 2])
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_overflowed_distances_rank_as_exact_ones(self, seed):
+        """At p = 1023 and data scale 10, w^p |x - z|^p overflows to inf
+        and, where w^p underflows, gives NaN; each repair still takes the
+        farthest eligible point, as exact rational arithmetic ranks them."""
+        rng = np.random.default_rng(seed)
+        n, m, k, p = 14, 3, 5, 1023.0
+        x = rng.normal(size=(n, m)) * 10.0
+        centroids = rng.normal(size=(k, m)) * 10.0
+        weights = rng.dirichlet(np.ones(m), size=k)
+        assignments = rng.integers(0, 2, size=n)  # clusters 2, 3 and 4 are empty
+        with np.errstate(over="ignore", invalid="ignore"):
+            per_point = np.einsum("iv,iv->i", np.abs(x - centroids[assignments]) ** p, weights[assignments] ** p)
+        assert not np.isfinite(per_point).any()
+        # w |x - z| exactly, a dyadic rational; every (w |x - z|)^p on a
+        # common power-of-2 denominator, so the sums are exact integers
+        terms = [
+            [Fraction(weights[a, v]) * abs(Fraction(x[i, v]) - Fraction(centroids[a, v])) for v in range(m)]
+            for i, a in enumerate(assignments)
+        ]
+        bits = max(t.denominator.bit_length() for row in terms for t in row)
+        q = int(p)
+        exact = [sum(t.numerator**q << q * (bits - t.denominator.bit_length()) for t in row) for row in terms]
+        expected = assignments.copy()
+        counts = np.bincount(expected, minlength=k)
+        for cluster in np.flatnonzero(counts == 0):
+            eligible = [i for i in range(n) if counts[expected[i]] >= 2]
+            i = max(eligible, key=lambda i: (exact[i], -i))
+            counts[expected[i]] -= 1
+            counts[cluster] = 1
+            expected[i] = cluster
+        with np.errstate(over="ignore", invalid="ignore"):
+            repairs = engine._repair_empty(x, assignments, centroids, weights, p, k)
+        assert repairs == 3
+        np.testing.assert_array_equal(assignments, expected)
 
     def test_read_only_inputs_untouched(self):
         dataset = validate_dataset(self.X)
