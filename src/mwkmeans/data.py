@@ -10,7 +10,6 @@ dataset exactly.
 from __future__ import annotations
 
 import csv
-import io
 import re
 from dataclasses import dataclass
 
@@ -96,29 +95,23 @@ def range_normalise(dataset: Dataset) -> tuple[Dataset, list[dict]]:
 LABEL_COLUMN = "label"
 
 
-# _quoting_writer quotes a cell holding one of these; it also quotes a
-# row's only cell when that cell is empty, which no save_csv row is
 _QUOTED = re.compile('[,"\r\n]')
 # rows that save_csv turns into Python objects at a time
 _SAVE_CHUNK = 256
 
 
-def _quoting_writer(write):
-    """csv.writer's writerow, writing each row through write, except
-    that a cell holding a bare '\\r' is quoted too, on every Python
-    version. Given "\\n", csv.writer quotes '\\n' but, on Python 3.11,
-    not '\\r', and load_csv would then split the row there; given
-    "\\r\\n" it quotes both, and each row's "\\r\\n" is written as "\\n"."""
-    buf = io.StringIO(newline="")
-    writer = csv.writer(buf, lineterminator="\r\n")
+def _quote(text: str) -> str:
+    """text as one CSV cell: in quotes, each '"' doubled, where it holds
+    ',', '"', '\\r' or '\\n' (csv.writer's rule, except that Python 3.11's
+    leaves a bare '\\r' unquoted, and load_csv would split the row there)."""
+    return '"' + text.replace('"', '""') + '"' if _QUOTED.search(text) else text
 
-    def writerow(row):
-        writer.writerow(row)
-        write(buf.getvalue()[:-2] + "\n")
-        buf.seek(0)
-        buf.truncate()
 
-    return writerow
+def _line(cells: list) -> str:
+    """The cells as one line; a row whose only cell is empty is written
+    as '""', as csv.writer writes it, so that it does not read as a blank
+    line."""
+    return ('""' if cells == [""] else ",".join(map(_quote, cells))) + "\n"
 
 
 def _cell_text(cell) -> str:
@@ -129,26 +122,21 @@ def write_csv(path, header, rows) -> None:
     """Write one CSV table: the header row (if not None, written as
     given), then the rows, taken from any iterable one at a time. Float
     cells get 17 significant digits (enough for an exact round trip);
-    every other cell is written with str. csv.writer writes every row,
-    except that a cell holding a bare '\\r' is quoted too
-    (_quoting_writer)."""
+    every other cell is written with str. Each cell is quoted by _quote."""
     with open(path, "w", newline="") as fh:
-        writerow = _quoting_writer(fh.write)
         if header is not None:
-            writerow(header)
+            fh.write(_line(list(header)))
         for row in rows:
-            writerow([_cell_text(c) for c in row])
+            fh.write(_line([_cell_text(c) for c in row]))
 
 
 def save_csv(dataset: Dataset, path) -> None:
     """Write the dataset as write_csv would, _SAVE_CHUNK rows at a time.
     Feature names become a header row (none when the dataset has no
-    names); labels, written as str, become a trailing column.
-
-    Every row is m floats and perhaps a label, so one % template built
-    once formats it, each float with 17 significant digits. Only a row
-    whose label csv.writer would quote (one holding ',', '"', '\\r' or
-    '\\n') goes to csv.writer, so the bytes are write_csv's."""
+    names); labels, written as str and quoted by _quote, become a
+    trailing column. Every row is m floats and perhaps a label, so one %
+    template built once formats it, each float with 17 significant
+    digits."""
     values, labels = dataset.values, dataset.labels
     header = None if dataset.feature_names is None else list(dataset.feature_names)
     if labels is not None and header is not None:
@@ -156,21 +144,15 @@ def save_csv(dataset: Dataset, path) -> None:
     template = ",".join(["%.17g"] * values.shape[1]) + ("\n" if labels is None else ",%s\n")
     with open(path, "w", newline="") as fh:
         write = fh.write
-        quoting = _quoting_writer(write)
         if header is not None:
-            quoting(header)
+            write(_line(header))
         for start in range(0, len(values), _SAVE_CHUNK):
             rows = values[start : start + _SAVE_CHUNK].tolist()
-            if labels is None:
-                for row in rows:
-                    write(template % tuple(row))
-                continue
-            for row, label in zip(rows, labels[start : start + _SAVE_CHUNK].astype(str).tolist()):
-                row.append(label)
-                if _QUOTED.search(label):
-                    quoting([_cell_text(c) for c in row])
-                else:
-                    write(template % tuple(row))
+            if labels is not None:
+                for row, label in zip(rows, labels[start : start + _SAVE_CHUNK].astype(str).tolist()):
+                    row.append(_quote(label))
+            for row in rows:
+                write(template % tuple(row))
 
 
 def _is_number(token: str) -> bool:
@@ -223,41 +205,28 @@ def _read_header(fh, has_labels: bool):
 
 
 def _read_c(fh, skip: int, width: int, has_labels: bool):
-    """Parse the data rows, width cells each, with numpy's C reader,
+    """Parse the data rows, width cells each, with one np.loadtxt call,
     skipping the first skip physical lines. Returns (values, int64
-    labels or label tokens or None); raises ValueError for anything the
-    reader does not take as a float, for a ragged row, and for a file
-    holding any of _SEPARATORS.
+    labels or None); raises ValueError for anything the C reader does
+    not take as a float, for a ragged row, for a label its int64 parser
+    rejects, and for a file holding any of _SEPARATORS.
 
-    With labels, one pass first parses each row as width - 1 floats and
-    an int64 label. numpy's int64 parser takes only ASCII digits with an
-    optional sign and surrounding blanks, tokens that int() reads as the
-    same integer. Where it raises ValueError (any other label, or
-    anything else the passes below reject), a float pass and a pass over
-    the label tokens run instead, as they did for every labelled file."""
+    With labels, each row is parsed as width - 1 floats and an int64
+    label. numpy's int64 parser takes only ASCII digits with an optional
+    sign and surrounding blanks, tokens that int() reads as the same
+    integer."""
     fh.seek(0)
     for chunk in iter(lambda: fh.read(1 << 16), ""):
         if any(sep in chunk for sep in _SEPARATORS):
             raise ValueError("file holds an ASCII separator")
-    if has_labels and width > 1:
-        fh.seek(0)
-        fields = [("values", float, (width - 1,)), ("label", np.int64)]
-        try:
-            rows = np.loadtxt(fh, skiprows=skip, dtype=fields, ndmin=1, **_C_READER)
-        except ValueError:
-            pass
-        else:  # the records, without padding, are rows of width float64 cells
-            labels = rows["label"].copy()
-            return _drop_last_column(rows.view(float).reshape(len(rows), width)), labels
     fh.seek(0)
-    values = np.loadtxt(fh, skiprows=skip, ndmin=2, **_C_READER)
     if not has_labels:
-        return values, None
-    # every label cell just parsed as a float, so it holds no quote and
-    # no NUL, and this pass reads the token csv.reader would
-    fh.seek(0)
-    tokens = np.loadtxt(fh, skiprows=skip, usecols=-1, dtype=object, ndmin=1, **_C_READER)
-    return _drop_last_column(values), tokens
+        return np.loadtxt(fh, skiprows=skip, ndmin=2, **_C_READER), None
+    fields = [("values", float, (width - 1,)), ("label", np.int64)]
+    rows = np.loadtxt(fh, skiprows=skip, dtype=fields, ndmin=1, **_C_READER)
+    labels = rows["label"].copy()  # before _drop_last_column writes over it
+    # the records, without padding, are rows of width float64 cells
+    return _drop_last_column(rows.view(float).reshape(len(rows), width)), labels
 
 
 def _drop_last_column(a: np.ndarray) -> np.ndarray:
@@ -330,18 +299,18 @@ def load_csv(path, has_labels: bool = False) -> Dataset:
     label strings; a label cell never makes a row a header.
 
     The header is read with csv.reader. The data rows then go through
-    numpy's C reader (np.loadtxt), which converts each cell with the
-    same correctly rounded routine float() uses and keeps no Python
-    object per feature cell, so memory stays a small multiple of the
-    values' bytes. Integer labels are parsed with the values in that one
-    pass; other numeric labels take a second pass that keeps one str
-    each. When the reader rejects anything (a quoted cell, a ragged row,
-    a bad token, a token only float() takes, such as '1_000', or a label
-    that is not a number), or the file holds a character from \\x1c to
-    \\x1f (numpy strips them from the ends of a token, float() does not),
-    the rows are parsed again with csv.reader and float() per cell. That
-    gives the same values, or raises CsvParseError at the first
-    malformed cell, counting physical lines.
+    one pass of numpy's C reader (np.loadtxt), which converts each cell
+    with the same correctly rounded routine float() uses and keeps no
+    Python object per feature cell, so memory stays a small multiple of
+    the values' bytes; integer labels are parsed in that pass, as an
+    int64 field beside the values. When the reader rejects anything (a
+    quoted cell, a ragged row, a bad token, a token only float() takes,
+    such as '1_000', or a label other than a plain integer, such as
+    '3.0', '1e3', 'nan' or 'cat'), or the file holds a character from
+    \\x1c to \\x1f (numpy strips them from the ends of a token, float()
+    does not), the rows are parsed instead with csv.reader and float()
+    per cell. That gives the same values, or raises CsvParseError at the
+    first malformed cell, counting physical lines.
     A byte the text encoding cannot decode also raises CsvParseError.
     """
     try:

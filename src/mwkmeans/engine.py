@@ -332,10 +332,11 @@ def _repair_empty(x, assignments, centroids, weights, p, k) -> int:
         per_point = np.logaddexp.reduce(logs, axis=1)
     empty = np.flatnonzero(counts == 0)
     for l in empty:
-        eligible = counts[assignments] >= 2
-        if not eligible.any():
+        # rank eligible points only: a -inf sentinel for the rest would tie a -inf log distance
+        eligible = np.flatnonzero(counts[assignments] >= 2)
+        if not eligible.size:
             break
-        i = int(np.argmax(np.where(eligible, per_point, -np.inf)))
+        i = int(eligible[np.argmax(per_point[eligible])])
         counts[assignments[i]] -= 1
         counts[l] = 1
         assignments[i] = l
@@ -533,6 +534,7 @@ def run_restarts(
     reports = []
     for first in range(0, len(configs), size):
         batch = configs[first : first + size]
+        # a run call: perfbench traces engine.run, and its CI smoke test needs engine.runs on wide-p2
         if len(batch) == 1:
             reports.append(run(dataset, batch[0], observer))
         else:

@@ -61,9 +61,9 @@ def _load(load, path, has_labels):
 @settings(max_examples=400, deadline=None)
 @given(labelled_csvs())
 def test_load_csv_matches_the_two_pass_reader(tmp_path_factory, case):
-    """Every label token, parsed in one pass or falling back, gives the
-    values (bit for bit), feature names and labels (dtype and values) of
-    the two-pass reader, or raises the same error."""
+    """Every label token, parsed in the one C pass or in the csv.reader
+    walk, gives the values (bit for bit), feature names and labels (dtype
+    and values) of the two-pass reader, or raises the same error."""
     text, has_labels = case
     path = tmp_path_factory.mktemp("csv") / "d.csv"
     path.write_text(text, newline="")
@@ -87,11 +87,12 @@ def test_load_csv_matches_the_two_pass_reader(tmp_path_factory, case):
 @pytest.mark.parametrize(
     "token, label",
     [("+3", 3), (" 3", 3), ("007", 7), ("-0", 0), ("3.0", "3.0"), ("1e3", "1e3"), ("3_0", 30),
-     ("12345678901234567890", "12345678901234567890"), ("cat", "cat")],
+     ("12345678901234567890", "12345678901234567890"), ("cat", "cat"), ("nan", "nan"), ("inf", "inf"),
+     ("-12", -12)],
 )
 def test_label_tokens(tmp_path, token, label):
-    """The tokens the one C pass must leave to the two-pass reader
-    (3.0, 1e3, 3_0, a 20-digit integer, a string) and those it takes."""
+    """The tokens the one C pass must leave to the csv.reader walk (3.0,
+    1e3, nan, inf, 3_0, a 20-digit integer, a string) and those it takes."""
     path = tmp_path / "d.csv"
     path.write_text(f"1.5,{token}\n2.5,4\n")
     loaded = load_csv(path, has_labels=True)
@@ -112,3 +113,16 @@ def test_integer_labels_take_one_pass(tmp_path, monkeypatch):
     assert loaded.values.tobytes() == d.values.tobytes()
     assert loaded.labels.dtype == np.int64 and loaded.labels.tolist() == [0, 1, 1, 2]
     assert loaded.values.flags.c_contiguous and loaded.labels.flags.c_contiguous
+
+
+def test_unlabelled_file_takes_one_pass(tmp_path, monkeypatch):
+    """A file without labels is parsed by one np.loadtxt call."""
+    d = validate_dataset(np.arange(12.0).reshape(4, 3), feature_names=["a", "b", "c"])
+    path = tmp_path / "d.csv"
+    save_csv(d, path)
+    calls = []
+    loadtxt = np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda *a, **kw: calls.append(kw) or loadtxt(*a, **kw))
+    loaded = load_csv(path)
+    assert len(calls) == 1
+    assert loaded.values.tobytes() == d.values.tobytes() and loaded.labels is None

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import best_label_agreement, brute_force_objective, grid_search_center, two_blob_dataset
@@ -313,6 +313,20 @@ class TestRepairEmpty:
             repairs = engine._repair_empty(x, assignments, centroids, weights, p, k)
         assert repairs == 3
         np.testing.assert_array_equal(assignments, expected)
+
+    def test_log_distances_all_minus_inf(self):
+        """At p = 1023 a zero weight times an overflowed |x - z|^p is NaN,
+        so the points are ranked by log distance; with the weight row
+        [1, 0] and a constant first column every one is -inf. Each repair
+        still takes a point of a cluster it leaves nonempty, so no cluster
+        is empty after the repair (n >= k)."""
+        x = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 1.0], [0.0, 1.0], [0.0, 0.0], [0.0, 3.0]])
+        weights = np.array([[1.0, 0.0], [0.5, 0.5], [0.5, 0.5]])
+        assignments = np.zeros(6, dtype=int)
+        with np.errstate(over="ignore", invalid="ignore"):
+            repairs = engine._repair_empty(x, assignments, np.zeros((3, 2)), weights, 1023.0, 3)
+        assert repairs == 2
+        assert np.bincount(assignments, minlength=3).all()
 
     def test_read_only_inputs_untouched(self):
         dataset = validate_dataset(self.X)
@@ -796,6 +810,11 @@ def batch_problems(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(batch_problems())
+# seed 320's second repair once emptied the cluster its first had filled
+@example((
+    validate_dataset(np.array([[0, 0], [0, 0], [0, 1], [0, 1], [0, 0], [0, 3]], dtype=float)),
+    MwkConfig(k=3, p=1023.0, tol_objective=0.0, max_iter=2, seed=319, restarts=2),
+))
 def test_restarts_equal_separate_runs(problem):
     """run_restarts, which runs its restarts in lock step, equals separate
     run calls in seed order: every report field bit for bit, the observer
