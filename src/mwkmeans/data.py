@@ -38,10 +38,11 @@ class SyntheticSpec:
             raise InvalidSpecError("n_informative must be >= 1")
         if self.n_noise < 0:
             raise InvalidSpecError("n_noise must be >= 0")
-        if self.cluster_std < 0:
-            raise InvalidSpecError("cluster_std must be nonnegative")
-        if not self.center_box[0] < self.center_box[1]:
-            raise InvalidSpecError("center_box must be a nonempty interval")
+        if not 0 <= self.cluster_std < np.inf:
+            raise InvalidSpecError("cluster_std must be finite and nonnegative")
+        lo, hi = self.center_box
+        if not (lo < hi and np.isfinite(hi - lo)):
+            raise InvalidSpecError("center_box must be a nonempty interval of finite width")
 
 
 def generate(spec: SyntheticSpec) -> tuple[Dataset, np.ndarray]:

@@ -92,8 +92,9 @@ from .errors import (
     DispersionOverflowError,
     EmptyClusterError,
     InvalidConfigError,
+    MwkError,
 )
-from .geometry import _SMALLEST_SUBNORMAL, _UNIT_ROUNDOFF, _abs_pow, minkowski_center_columns
+from .geometry import _abs_pow, minkowski_center_columns
 from .weighting import update_weights
 
 
@@ -179,6 +180,10 @@ def _squares(x):
     with np.errstate(all="ignore"):  # an inf or NaN sends the screen to the loop
         xx = np.square(x)
         return xx, xx.max(initial=0.0)
+
+
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
+_SMALLEST_SUBNORMAL = np.finfo(float).smallest_subnormal
 
 
 def _screen_p2(x, z, wp, squares=None):
@@ -311,7 +316,9 @@ def _repair_empty(x, assignments, centroids, weights, p, k) -> int:
     """Reseed each empty cluster, in index order, with the point farthest
     from its currently assigned centroid (restricted to clusters of size
     >= 2, so no repair empties another cluster). Mutates assignments in
-    place; returns the number of repairs.
+    place; returns the number of repairs, one per empty cluster. Raises
+    EmptyClusterError naming the first cluster left empty, which happens
+    only with fewer points than clusters.
 
     Where a weighted distance overflows to inf (or is NaN, an underflowed
     w^p times an overflowed |x - z|^p), the points are ranked by the log
@@ -335,12 +342,12 @@ def _repair_empty(x, assignments, centroids, weights, p, k) -> int:
         # rank eligible points only: a -inf sentinel for the rest would tie a -inf log distance
         eligible = np.flatnonzero(counts[assignments] >= 2)
         if not eligible.size:
-            break
+            raise EmptyClusterError(int(l))
         i = int(eligible[np.argmax(per_point[eligible])])
         counts[assignments[i]] -= 1
         counts[l] = 1
         assignments[i] = l
-    return int(counts[empty].sum())
+    return len(empty)
 
 
 def _objective(weights: np.ndarray, dispersions: DispersionMatrix, p: float) -> float:
@@ -373,7 +380,8 @@ def _one_run(x, points, config: MwkConfig, weights, events: Optional[list]):
     and it yields ("weights", dispersions) and is sent the weights.
     Appends its EngineEvents to events unless that is None, and returns
     its report without bounds. Raises DispersionOverflowError where a
-    dispersion is not finite."""
+    dispersion is not finite; the MwkErrors of the steps it calls pass
+    through."""
     n = x.shape[0]
     k, p, tol = config.k, config.p, config.tol_objective
     centroids = x[np.random.default_rng(config.seed).choice(n, size=k, replace=False)].astype(float)
@@ -444,9 +452,12 @@ def _alternate(
     weight step as a parameter; initial weights are its answer for equal
     dispersions. Returns one report per config, each without bounds and
     equal to that of the config alone; the observer sees the events of
-    the configs one by one, in order. Where a run raises, the observer
-    sees what it would have seen up to that point had the runs gone one
-    by one, and the error of the first failing run is raised."""
+    the configs one by one, in order. Where a run raises an MwkError,
+    the observer sees what it would have seen up to that point had the
+    runs gone one by one, and the error of the first failing run is
+    raised. The stacked steps raise none: a run checks that its
+    dispersions are finite before it asks for weights, and k <= n lets
+    every repair fill its cluster, so no centre request has an empty one."""
     n, m = x.shape
     k, p, center_tol = configs[0].k, configs[0].p, configs[0].center_tol
     if k > n:
@@ -467,7 +478,7 @@ def _alternate(
                 requests[i] = runs[i].send(answer)
             except StopIteration as stop:
                 outcomes[i] = stop.value
-            except DispersionOverflowError as error:
+            except MwkError as error:
                 # run one by one in seed order, the first failure would
                 # end the later runs unstarted
                 outcomes[i] = error
@@ -492,7 +503,7 @@ def _alternate(
     for outcome, run_events in zip(outcomes, events):
         for event in run_events:
             observer(event)
-        if isinstance(outcome, DispersionOverflowError):
+        if isinstance(outcome, MwkError):
             raise outcome
     return outcomes
 

@@ -122,6 +122,13 @@ class TestGenerate:
         code = main(["generate", "--n-points", "2", "--clusters", "3", "--out", str(tmp_path / "d.csv")])
         assert code == 2
 
+    @pytest.mark.parametrize("args", [["--center-box", "0", "inf"], ["--cluster-std", "nan"], ["--cluster-std", "inf"]])
+    def test_non_finite_spec_is_usage_error(self, tmp_path, capsys, args):
+        code = main(["generate", *args, "--out", str(tmp_path / "d.csv")])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "d.csv").exists()
+
 
 class TestExperiment:
     def test_single_cell_sweep(self, tmp_path):

@@ -29,9 +29,18 @@ class TestSyntheticSpec:
         with pytest.raises(InvalidSpecError):
             SyntheticSpec(n_points=10, n_informative=0, n_noise=2, k_true=2)
 
-    def test_rejects_empty_center_box(self):
+    # an empty, a reversed, a NaN or an infinite box, or one whose width overflows
+    @pytest.mark.parametrize(
+        "box", [(1.0, 1.0), (2.0, 1.0), (np.nan, 1.0), (0.0, np.inf), (-np.inf, 0.0), (-1e308, 1e308)]
+    )
+    def test_rejects_empty_center_box(self, box):
         with pytest.raises(InvalidSpecError):
-            SyntheticSpec(n_points=10, n_informative=2, n_noise=0, k_true=2, center_box=(1.0, 1.0))
+            SyntheticSpec(n_points=10, n_informative=2, n_noise=0, k_true=2, center_box=box)
+
+    @pytest.mark.parametrize("std", [-1.0, np.nan, np.inf])
+    def test_rejects_negative_or_non_finite_cluster_std(self, std):
+        with pytest.raises(InvalidSpecError):
+            SyntheticSpec(n_points=10, n_informative=2, n_noise=0, k_true=2, cluster_std=std)
 
 
 class TestGenerate:

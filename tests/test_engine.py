@@ -246,6 +246,18 @@ def test_p2_assignment_matches_plain_numpy(problem):
         np.testing.assert_array_equal(assign_points(x, z, w, 2.0), expected)
 
 
+@st.composite
+def repair_problems(draw):
+    """p2_problems' points, centres and weights (duplicate rows, constant
+    columns, zero weights, scales 1e-150 to 1e150) with assignments to
+    the first few clusters only, so the rest are empty, and a p at which
+    distances are 0, overflow or are NaN."""
+    x, z, w = draw(p2_problems())
+    used = draw(st.integers(1, z.shape[0]))
+    assignments = np.array(draw(st.lists(st.integers(0, used - 1), min_size=len(x), max_size=len(x))))
+    return x, assignments, z, w, draw(st.sampled_from([1.0 + 1e-6, 1.5, 2.0, 5.0, 1023.0]))
+
+
 class TestRepairEmpty:
     # values pinned from the per-cluster-scan implementation
     X = np.array([[10.0, 0.0], [-9.0, 0.0], [11.0, 0.0], [3.0, 0.0], [3.5, 0.0]])
@@ -274,9 +286,11 @@ class TestRepairEmpty:
         np.testing.assert_array_equal(assignments, [0, 1, 2, 3, 3])
 
     def test_no_donor_with_two_points(self):
+        """With fewer points than clusters no point can fill cluster 3:
+        the repair names it rather than leave it empty."""
         assignments = np.array([0, 1, 2])
-        assert engine._repair_empty(self.X[:3], assignments, self.CENTROIDS, self.WEIGHTS, 2.0, 4) == 0
-        np.testing.assert_array_equal(assignments, [0, 1, 2])
+        with pytest.raises(EmptyClusterError, match="cluster 3 is empty"):
+            engine._repair_empty(self.X[:3], assignments, self.CENTROIDS, self.WEIGHTS, 2.0, 4)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_overflowed_distances_rank_as_exact_ones(self, seed):
@@ -327,6 +341,24 @@ class TestRepairEmpty:
             repairs = engine._repair_empty(x, assignments, np.zeros((3, 2)), weights, 1023.0, 3)
         assert repairs == 2
         assert np.bincount(assignments, minlength=3).all()
+
+    @settings(max_examples=300, deadline=None)
+    @given(repair_problems())
+    def test_repair_fills_every_cluster(self, problem):
+        """For any n >= k, the repair leaves no cluster empty (so no
+        donor gave its last point), returns the number of clusters that
+        were, and moves exactly one point into each of them."""
+        x, assignments, z, w, p = problem
+        k = z.shape[0]
+        before = assignments.copy()
+        empty = np.bincount(before, minlength=k) == 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            repairs = engine._repair_empty(x, assignments, z, w, p, k)
+        counts = np.bincount(assignments, minlength=k)
+        moved = np.flatnonzero(assignments != before)
+        assert counts.all()
+        assert repairs == np.count_nonzero(empty)
+        assert sorted(assignments[moved]) == list(np.flatnonzero(empty))
 
     def test_read_only_inputs_untouched(self):
         dataset = validate_dataset(self.X)
@@ -837,23 +869,43 @@ def test_restarts_equal_separate_runs(problem):
     assert _same(batched, separate)
 
 
-def test_first_failure_in_seed_order_wins(monkeypatch):
-    """Where a later seed's dispersions overflow in an earlier round of
-    the lock step than an earlier seed's, run_restarts raises as separate
-    run calls in seed order do: the observer sees the earlier seed's
-    iterations up to its failure and nothing of the later seeds. The
-    overflows are forced: compute_dispersions returns an infinite matrix
-    for seed 0's third call and seed 1's first, recorded from single
-    runs."""
+def _overflowing(step, args):
+    result = step(*args)
+    return dataclasses.replace(result, d=np.full_like(result.d, np.inf))
+
+
+def _unrepairable(step, args):
+    raise EmptyClusterError(0)
+
+
+@pytest.mark.parametrize(
+    "target, fail, error_type",
+    [
+        ("compute_dispersions", _overflowing, DispersionOverflowError),
+        ("_repair_empty", _unrepairable, EmptyClusterError),
+    ],
+    ids=["overflow", "empty-cluster"],
+)
+def test_first_failure_in_seed_order_wins(monkeypatch, target, fail, error_type):
+    """Where a later seed fails in an earlier round of the lock step than
+    an earlier seed, run_restarts raises as separate run calls in seed
+    order do: the observer sees the earlier seed's iterations up to its
+    failure and nothing of the later seeds. The failures are forced at
+    one step of the loop, keyed on the assignments it is called with:
+    seed 0's third call and seed 1's first, recorded from single runs.
+    An overflow makes compute_dispersions return an infinite matrix
+    (DispersionOverflowError); an EmptyClusterError comes from
+    _repair_empty itself."""
     dataset = _reference_shape(2, n_points=300)
     config = MwkConfig(k=3, p=1.5, seed=0, restarts=3)
-    calls = []  # the assignments of each compute_dispersions call
+    step = getattr(engine, target)
+    calls = []  # the assignments of each call, before the call can edit them
 
-    def recording(values, assignments, centroids, p):
-        calls.append(assignments.tobytes())
-        return compute_dispersions(values, assignments, centroids, p)
+    def recording(*args):
+        calls.append(args[1].tobytes())
+        return step(*args)
 
-    monkeypatch.setattr(engine, "compute_dispersions", recording)
+    monkeypatch.setattr(engine, target, recording)
     run(dataset, config)
     first = calls[:]
     calls.clear()
@@ -861,20 +913,17 @@ def test_first_failure_in_seed_order_wins(monkeypatch):
     poison = {first[2], calls[0]}
     assert first[2] not in first[:2] and calls[0] not in first[:2]
 
-    def overflowing(values, assignments, centroids, p):
-        result = compute_dispersions(values, assignments, centroids, p)
-        if assignments.tobytes() in poison:
-            return dataclasses.replace(result, d=np.full_like(result.d, np.inf))
-        return result
+    def failing(*args):
+        return fail(step, args) if args[1].tobytes() in poison else step(*args)
 
-    monkeypatch.setattr(engine, "compute_dispersions", overflowing)
+    monkeypatch.setattr(engine, target, failing)
     separate = _outcome(lambda observer: [
         run(dataset, dataclasses.replace(config, seed=config.seed + i), observer)
         for i in range(config.restarts)
     ])
     events, error = separate
     # seed 0 fails after one or more whole iterations, seed 1 in its first
-    assert error[0] is DispersionOverflowError
+    assert error[0] is error_type
     assert [e.iteration for e in events] == list(range(len(events))) and events
     assert _same(_outcome(lambda observer: run_restarts(dataset, config, observer)[1]), separate)
 

@@ -12,8 +12,12 @@ helpers.coarse_bound (under two cells) inside it, where an answer two
 cells off fails that bound.
 
 At p = 2 each block's centre is its mean clipped into [min, max], bit
-for bit, whether the clip is computed or proved to change nothing.
+for bit, where the clip changes nothing and where the rounded mean
+leaves [min, max] by an ulp; where the block's sum overflows it is the
+sum of each value over the block's size. Neither warns.
 """
+import warnings
+
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -114,8 +118,8 @@ def mean_blocks(draw):
     """Blocks of 1-30 rows (1-row blocks included) of spread values, of
     any floats, of a few values or of values one ulp apart, some with a
     constant or duplicated column or equal first and last rows, at
-    scales 1e-150 to 1e150 and offsets up to 1e8. About a third take the
-    proved path, where no cell needs the clip."""
+    scales 1e-150 to 1e150 and offsets up to 1e8. About a third are
+    spread values, whose means lie strictly inside [min, max]."""
     m = draw(st.integers(1, 3))
     sizes = draw(st.lists(st.integers(2, 30), min_size=1, max_size=4))
     if draw(st.integers(0, 3)) == 3:
@@ -123,7 +127,7 @@ def mean_blocks(draw):
     offsets = np.cumsum([0] + sizes[:-1])
     shape = (sum(sizes), m)
     kind = draw(st.sampled_from(["uniform", "floats", "pool", "ulps"]))
-    if kind == "uniform":  # spread values: most of these take the proved path
+    if kind == "uniform":  # spread values: the clip changes none of these means
         x = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(-1.0, 1.0, shape)
     else:
         elements = st.floats(-1.0, 1.0)
@@ -152,10 +156,37 @@ def mean_blocks(draw):
 @example((np.array([[0.1], [0.1], [0.1], [2.0], [3.0]]), np.array([0, 3])))
 # first and last differ by an ulp, and the mean, 0.10000000000000003, is above both
 @example((np.append(np.full(29, 0.1), np.nextafter(0.1, 1.0))[:, None], np.array([0])))
+# the sum overflows to inf; the centre is the mean, 1.5e308, which is the max
+@example((np.full((2, 1), 1.5e308), np.array([0])))
 def test_p2_centres_are_clipped_means_bit_for_bit(problem):
     matrix, offsets = problem
-    z = minkowski_center_columns(matrix, 2.0, offsets=offsets)
-    assert z.tobytes() == clipped_means(matrix, offsets).tobytes()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        z = minkowski_center_columns(matrix, 2.0, offsets=offsets)
+    with np.errstate(over="ignore"):
+        expected = clipped_means(matrix, offsets)
+    assert z.tobytes() == expected.tobytes()
+
+
+def test_p2_mean_whose_sum_overflows():
+    """Where a block's sum overflows, to +-inf or to NaN (where numpy's
+    reduction order meets inf + -inf, as on the third block here), the
+    centre is the sum of each value over the block's size, not the max,
+    min or NaN, with no numpy warning; the other blocks keep their
+    means. Each value / size here is exact, and so is each mean."""
+    v = 9.0 * 2.0**1020
+    blocks = [
+        ([1.5e308, 1.5e308, 0.0], 1e308),
+        ([-1.5e308, -1.5e308, 0.0], -1e308),
+        ([v] * 7 + [-v] * 2, 5.0 * 2.0**1020),
+        ([1.0, 2.0], 1.5),
+    ]
+    matrix = np.concatenate([values for values, _ in blocks])[:, None]
+    offsets = np.cumsum([0] + [len(values) for values, _ in blocks[:-1]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        z = minkowski_center_columns(matrix, 2.0, offsets=offsets)
+    np.testing.assert_array_equal(z[:, 0], [mean for _, mean in blocks])
 
 
 @settings(max_examples=200, deadline=None)
