@@ -15,6 +15,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -175,6 +176,11 @@ def _add_generate_flags(sub):
     sub.add_argument("--cluster-std", type=float, default=1.0)
     sub.add_argument("--center-box", type=float, nargs=2, default=[-2.0, 2.0], metavar=("LO", "HI"))
     sub.add_argument("--seed", type=int, default=0)
+    # argparse reads an argument as a negative number, not an option, only
+    # in the forms -<digits> and -<digits>.<digits>; take the exponent
+    # forms too, so that "--center-box -1e3 1e3" parses (no option here
+    # looks like a number)
+    sub._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
 def _add_run_flags(sub):

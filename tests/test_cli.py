@@ -122,6 +122,14 @@ class TestGenerate:
         code = main(["generate", "--n-points", "2", "--clusters", "3", "--out", str(tmp_path / "d.csv")])
         assert code == 2
 
+    @pytest.mark.parametrize("box", [["-1e3", "1e3"], ["-2.5E+1", "1"], ["-3", "-.5e-1"]])
+    def test_center_box_in_exponent_form(self, tmp_path, box):
+        # a negative bound in exponent form is a number, not an option
+        out = tmp_path / "d.csv"
+        assert main(["generate", "--center-box", *box, "--n-points", "30", "--out", str(out)]) == 0
+        sidecar = json.loads((tmp_path / "d.csv.spec.json").read_text())
+        assert sidecar["center_box"] == [float(b) for b in box]
+
     @pytest.mark.parametrize("args", [["--center-box", "0", "inf"], ["--cluster-std", "nan"], ["--cluster-std", "inf"]])
     def test_non_finite_spec_is_usage_error(self, tmp_path, capsys, args):
         code = main(["generate", *args, "--out", str(tmp_path / "d.csv")])

@@ -14,7 +14,10 @@ cells off fails that bound.
 At p = 2 each block's centre is its mean clipped into [min, max], bit
 for bit, where the clip changes nothing and where the rounded mean
 leaves [min, max] by an ulp; where the block's sum overflows it is the
-sum of each value over the block's size. Neither warns.
+sum of each value over the block's size. Neither warns. The sign of a
+zero centre is read as 0.0 on both sides: the solver's min and max
+reductions and the block-by-block ones here break a -0.0/0.0 tie in
+different orders (tests/test_solver_layout.py).
 """
 import warnings
 
@@ -158,6 +161,8 @@ def mean_blocks(draw):
 @example((np.append(np.full(29, 0.1), np.nextafter(0.1, 1.0))[:, None], np.array([0])))
 # the sum overflows to inf; the centre is the mean, 1.5e308, which is the max
 @example((np.full((2, 1), 1.5e308), np.array([0])))
+# eight 0.0 and one -0.0 in two columns: the two sides' ties give opposite signs
+@example((np.array([[0.0, 0.0]] * 8 + [[-0.0, -0.0]]), np.array([0])))
 def test_p2_centres_are_clipped_means_bit_for_bit(problem):
     matrix, offsets = problem
     with warnings.catch_warnings():
@@ -165,7 +170,8 @@ def test_p2_centres_are_clipped_means_bit_for_bit(problem):
         z = minkowski_center_columns(matrix, 2.0, offsets=offsets)
     with np.errstate(over="ignore"):
         expected = clipped_means(matrix, offsets)
-    assert z.tobytes() == expected.tobytes()
+    # adding 0.0 turns -0.0 into 0.0 and leaves every other value as it is
+    assert (z + 0.0).tobytes() == (expected + 0.0).tobytes()
 
 
 def test_p2_mean_whose_sum_overflows():

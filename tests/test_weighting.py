@@ -1,13 +1,25 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+import weights_oracle
 from mwkmeans import (
     global_suppression_bound,
     pairwise_suppression_bound,
     update_weights,
     weight_ratio,
 )
-from mwkmeans.errors import InvalidCError, InvalidMError, NonFiniteError, NonpositiveDispersionError
+from mwkmeans.errors import (
+    InvalidCError,
+    InvalidMError,
+    MwkError,
+    NonFiniteError,
+    NonpositiveDispersionError,
+)
 
 
 class TestUpdateWeights:
@@ -82,6 +94,58 @@ class TestUpdateWeights:
         w = update_weights(np.array([[1e-300, 2e-300, 1.0]]), 1.01)
         assert np.isfinite(w).all()
         np.testing.assert_allclose(w.sum(), 1.0, atol=1e-12)
+
+
+exponents = st.sampled_from([1.0 + 1e-6, 1.1, 2.0, 5.0, 1023.0])
+positive = st.one_of(
+    st.floats(1e-300, 1e300),
+    st.floats(math.log(1e-300), math.log(1e300)).map(math.exp),  # log-uniform
+)
+
+
+@st.composite
+def dispersion_matrices(draw):
+    """1 x 1 to 6 x 9 matrices of values from 1e-300 to 1e300; some hold
+    zero cells, and some of those an all-zero row."""
+    shape = (draw(st.integers(1, 6)), draw(st.integers(1, 9)))
+    zeros = draw(st.booleans())
+    cells = st.one_of(st.just(0.0), positive) if zeros else positive
+    d = draw(arrays(float, shape, elements=cells, fill=st.nothing()))
+    if zeros and draw(st.booleans()):
+        d[draw(st.integers(0, shape[0] - 1))] = 0.0
+    return d
+
+
+def outcome(update, d, p):
+    """The weights' bytes, or the named error's type, message and cell."""
+    try:
+        w = update(d, p)
+    except MwkError as exc:
+        return type(exc), str(exc), getattr(exc, "row", None), getattr(exc, "col", None)
+    return w.shape, w.dtype, w.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(dispersion_matrices(), exponents)
+def test_weights_equal_frozen_oracle_bit_for_bit(d, p):
+    """update_weights gives the bytes of the weight step it replaced
+    (tests/weights_oracle.py), with and without zero dispersions."""
+    event(f"zero cells: {(d == 0.0).any()}")
+    assert outcome(update_weights, d, p) == outcome(weights_oracle.update_weights, d, p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(dispersion_matrices(), exponents, st.data())
+def test_bad_cells_raise_as_frozen_oracle(d, p, data):
+    """A NaN cell raises NonFiniteError naming the first NaN, a negative
+    one NonpositiveDispersionError, as in the replaced weight step."""
+    cell = st.tuples(st.integers(0, d.shape[0] - 1), st.integers(0, d.shape[1] - 1))
+    cells = data.draw(st.lists(cell, min_size=1, max_size=3))
+    for row, col in cells:
+        d[row, col] = data.draw(st.sampled_from([np.nan, -1e-300, -1.0, -np.inf]))
+    got = outcome(update_weights, d, p)
+    assert got[0] in (NonFiniteError, NonpositiveDispersionError)
+    assert got == outcome(weights_oracle.update_weights, d, p)
 
 
 class TestWeightLaws:
