@@ -179,7 +179,10 @@ def _add_generate_flags(sub):
     # argparse reads an argument as a negative number, not an option, only
     # in the forms -<digits> and -<digits>.<digits>; take the exponent
     # forms too, so that "--center-box -1e3 1e3" parses (no option here
-    # looks like a number)
+    # looks like a number). This replaces a private attribute that
+    # argparse reads in Python 3.10 through 3.13; should a later argparse
+    # rename it, the assignment does nothing, and
+    # tests/test_cli.py::TestGenerate::test_center_box_in_exponent_form fails
     sub._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 

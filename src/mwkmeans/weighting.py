@@ -24,8 +24,7 @@ def update_weights(dispersions: DispersionMatrix | np.ndarray, p: float) -> np.n
     A row with zero dispersions takes the limiting weights: all mass
     split evenly over its zero-dispersion features (uniform 1/m when the
     whole row is zero). Positive rows are computed in the log domain so
-    exponents 1/(p-1) of 100+ neither overflow nor underflow; a matrix
-    with no zero skips the zero handling and gets the same bits. A negative
+    exponents 1/(p-1) of 100+ neither overflow nor underflow. A negative
     dispersion raises NonpositiveDispersionError, a NaN one NonFiniteError
     naming its cell.
     """
@@ -38,14 +37,11 @@ def update_weights(dispersions: DispersionMatrix | np.ndarray, p: float) -> np.n
             raise NonFiniteError(int(row), int(col))
         raise NonpositiveDispersionError("dispersions must be nonnegative")
     zero = d == 0.0
-    if zero.any():
-        a = -np.log(np.where(zero, 1.0, d)) / (p - 1.0)
+    has_zero = zero.any()
+    a = np.log(np.where(zero, 1.0, d) if has_zero else d)
+    a /= 1.0 - p
+    if has_zero:
         a = np.where(zero.any(axis=1, keepdims=True), np.where(zero, 0.0, -np.inf), a)
-    else:
-        # in place on one array: log(d) / (1 - p) has the bits of
-        # -log(d) / (p - 1), since IEEE rounding is sign-symmetric
-        a = np.log(d)
-        a /= 1.0 - p
     a -= np.maximum.reduce(a, axis=1, keepdims=True)
     np.exp(a, out=a)
     a /= np.add.reduce(a, axis=1, keepdims=True)
