@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import DispersionMatrix
-from .errors import InvalidCError, InvalidMError, NonFiniteError, NonpositiveDispersionError
+from .errors import EmptyMatrixError, InvalidCError, InvalidMError, NonFiniteError, NonpositiveDispersionError
 
 
 def update_weights(dispersions: DispersionMatrix | np.ndarray, p: float) -> np.ndarray:
@@ -30,17 +30,19 @@ def update_weights(dispersions: DispersionMatrix | np.ndarray, p: float) -> np.n
     """
     d = dispersions.d if isinstance(dispersions, DispersionMatrix) else np.asarray(dispersions, dtype=float)
     d = np.atleast_2d(d)
-    if not (d >= 0).all():
+    if d.size == 0:
+        raise EmptyMatrixError(f"dispersion matrix of shape {d.shape} is empty")
+    low = np.minimum.reduce(d, axis=None)
+    if not low >= 0:  # NaN fails too
         nan = np.isnan(d)
         if nan.any():
             row, col = np.argwhere(nan)[0]
             raise NonFiniteError(int(row), int(col))
         raise NonpositiveDispersionError("dispersions must be nonnegative")
-    zero = d == 0.0
-    has_zero = zero.any()
-    a = np.log(np.where(zero, 1.0, d) if has_zero else d)
+    zero = d == 0.0 if low == 0.0 else None
+    a = np.log(d if zero is None else np.where(zero, 1.0, d))
     a /= 1.0 - p
-    if has_zero:
+    if zero is not None:
         a = np.where(zero.any(axis=1, keepdims=True), np.where(zero, 0.0, -np.inf), a)
     a -= np.maximum.reduce(a, axis=1, keepdims=True)
     np.exp(a, out=a)
@@ -51,7 +53,7 @@ def update_weights(dispersions: DispersionMatrix | np.ndarray, p: float) -> np.n
 def weight_ratio(d_u: float, d_v: float, p: float) -> float:
     """Exact ratio w_u / w_v implied by dispersions d_u, d_v:
     (d_v / d_u)^(1/(p-1))."""
-    if d_u <= 0 or d_v <= 0:
+    if not (d_u > 0 and d_v > 0):  # NaN fails too
         raise NonpositiveDispersionError("dispersions must be positive")
     return float((d_v / d_u) ** (1.0 / (p - 1.0)))
 
@@ -59,7 +61,7 @@ def weight_ratio(d_u: float, d_v: float, p: float) -> float:
 def pairwise_suppression_bound(C: float, p: float) -> float:
     """Upper bound C^(-1/(p-1)) on w_u / w_v whenever feature u's
     dispersion is at least C times feature v's."""
-    if C <= 1.0:
+    if not C > 1.0:  # NaN fails too
         raise InvalidCError(f"C must exceed 1, got {C}")
     return float(C ** (-1.0 / (p - 1.0)))
 
@@ -67,7 +69,7 @@ def pairwise_suppression_bound(C: float, p: float) -> float:
 def global_suppression_bound(C: float, m: int, p: float) -> float:
     """Upper bound 1 / (1 + (m-1) * C^(1/(p-1))) on the weight of a
     feature whose dispersion is at least C times every other feature's."""
-    if C <= 1.0:
+    if not C > 1.0:  # NaN fails too
         raise InvalidCError(f"C must exceed 1, got {C}")
     if m < 2:
         raise InvalidMError(f"m must be >= 2, got {m}")

@@ -1,6 +1,14 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+import theory_oracle
+from mwkmeans import theory
 from mwkmeans import (
     geometric_mean,
     normalised_objective,
@@ -10,7 +18,13 @@ from mwkmeans import (
     power_mean,
     update_weights,
 )
-from mwkmeans.errors import BoundViolationError, NonFiniteError, NonpositiveValueError
+from mwkmeans.errors import (
+    BoundViolationError,
+    EmptyMatrixError,
+    MwkError,
+    NonFiniteError,
+    NonpositiveValueError,
+)
 from mwkmeans.theory import _logsumexp
 
 
@@ -41,6 +55,14 @@ class TestPowerMean:
         v = power_mean([1e-200, 1e200], -150.0)
         assert np.isfinite(v)
 
+    @pytest.mark.parametrize("r", [-3.0, -1e-6, 2.0])
+    def test_scalar_is_one_value(self, r):
+        assert power_mean(2.0, r) == power_mean([2.0], r) == pytest.approx(2.0)
+
+    def test_empty_rejected(self):
+        with pytest.raises(EmptyMatrixError):
+            power_mean([], -1.0)
+
 
 class TestGeometricMean:
     def test_hand_value(self):
@@ -60,6 +82,13 @@ class TestGeometricMean:
         with pytest.raises(NonFiniteError) as info:
             geometric_mean([np.nan, 2.0])
         assert (info.value.row, info.value.col) == (0, 0)
+
+    def test_scalar_is_one_value(self):
+        assert geometric_mean(2.0) == 2.0
+
+    def test_empty_rejected(self):
+        with pytest.raises(EmptyMatrixError):
+            geometric_mean([])
 
 
 class TestObjectiveForms:
@@ -98,6 +127,15 @@ class TestObjectiveForms:
             via_pm = objective_via_power_means(d, p)
             assert via_d == pytest.approx(direct, rel=1e-9)
             assert via_pm == pytest.approx(via_d, rel=1e-10)
+
+
+@pytest.mark.parametrize("form", [
+    objective_via_dispersions, objective_via_power_means, objective_bounds, update_weights,
+])
+@pytest.mark.parametrize("shape", [(3, 0), (0, 4), (0,)])
+def test_empty_dispersions_rejected(form, shape):
+    with pytest.raises(EmptyMatrixError):
+        form(np.ones(shape), 2.0)
 
 
 class TestObjectiveBounds:
@@ -185,6 +223,12 @@ class TestNormalisedObjective:
         b = objective_bounds([[1.0, 4.0]], 2.0)
         assert normalised_objective(b.upper + 1e-10 * b.upper, b) == 1.0
 
+    @pytest.mark.parametrize("d", [[[1.0, 4.0]], [[2.0]]])
+    def test_nan_lies_inside_no_bounds(self, d):
+        # every comparison with NaN is false, which once read as inside
+        with pytest.raises(BoundViolationError, match="nan"):
+            normalised_objective(float("nan"), objective_bounds(d, 2.0))
+
 
 class TestLogSumExpOracle:
     """theory's own log-sum-exp gives exactly scipy's bits (`==`, not
@@ -226,3 +270,91 @@ class TestLogSumExpOracle:
                 values = np.exp(rng.normal(0.0, 2.0, int(rng.integers(1, 9))))
                 with_scipy = float(np.exp((logsumexp(r * np.log(values)) - np.log(values.size)) / r))
                 assert power_mean(values, r) == with_scipy
+
+
+def _bits(x):
+    """x with every float as its hex string, so == compares bytes."""
+    if isinstance(x, float):
+        return x.hex()
+    if dataclasses.is_dataclass(x):
+        return _bits(dataclasses.astuple(x))
+    if isinstance(x, tuple):
+        return tuple(_bits(v) for v in x)
+    return x
+
+
+def outcome(f, *args):
+    """f's result as bytes, with its float type, or the named error's
+    type and message."""
+    try:
+        result = f(*args)
+    except MwkError as exc:
+        return type(exc), str(exc)
+    return type(result), _bits(float(result) if isinstance(result, np.floating) else result)
+
+
+# ties come from a small pool; the rest span the normal range, with the
+# smallest subnormal and the largest finite value at the ends
+pool = st.sampled_from([5e-324, 1e-300, 1e-10, 0.5, 1.0, 2.0, 3.0, 1e10, 1e300, 1.7976931348623157e308])
+positive = st.one_of(
+    pool,
+    st.floats(math.log(1e-300), math.log(1e300)).map(math.exp),  # log-uniform
+)
+rows = st.lists(positive, min_size=1, max_size=9).map(np.array)
+orders = st.sampled_from([-2e7, -1e5, -200.0, -150.0, -1.0, -1e-6, 1e-6, 3.0, 2e7])
+exponents = st.sampled_from([1.0 + 1e-6, 1.05, 1.1, 1.5, 2.0, 5.0, 6.0, 1023.0])
+
+
+@st.composite
+def dispersion_matrices(draw):
+    """1 x 1 to 5 x 8 matrices of the rows' values, some with zero cells
+    or an all-zero row."""
+    shape = (draw(st.integers(1, 5)), draw(st.integers(1, 8)))
+    cells = st.one_of(st.just(0.0), positive) if draw(st.booleans()) else positive
+    return draw(arrays(float, shape, elements=cells, fill=st.nothing()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows, orders)
+@example(np.array([2.0, 2.0, 2.0]), -3.0)
+@example(np.array([1e300]), 2e7)
+def test_power_mean_equals_frozen_oracle(row, r):
+    assert outcome(power_mean, row, r) == outcome(theory_oracle.power_mean, row, r)
+    # the same steps, by hand, on the log-sum-exp of the oracle
+    assert outcome(_logsumexp, r * np.log(row)) == outcome(theory_oracle._logsumexp, r * np.log(row))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows)
+def test_geometric_mean_equals_frozen_oracle(row):
+    assert outcome(geometric_mean, row) == outcome(theory_oracle.geometric_mean, row)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows, exponents)
+@example(np.array([3.0, 3.0]), 2.0)
+def test_row_objective_equals_frozen_oracle(row, p):
+    assert outcome(theory._row_objective, row, p) == outcome(theory_oracle._row_objective, row, p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(dispersion_matrices(), exponents)
+def test_objective_forms_and_bounds_equal_frozen_oracle(d, p):
+    for name in ("objective_via_dispersions", "objective_via_power_means", "objective_bounds"):
+        assert outcome(getattr(theory, name), d, p) == outcome(getattr(theory_oracle, name), d, p), name
+
+
+@settings(max_examples=100, deadline=None)
+@given(dispersion_matrices(), exponents, st.data())
+def test_bad_cells_raise_as_frozen_oracle(d, p, data):
+    """A NaN cell raises NonFiniteError naming the first NaN, a negative
+    one NonpositiveValueError, as before."""
+    row, col = data.draw(st.tuples(st.integers(0, d.shape[0] - 1), st.integers(0, d.shape[1] - 1)))
+    d[row, col] = data.draw(st.sampled_from([np.nan, -1e-300, -1.0, -np.inf]))
+    for name in ("objective_via_dispersions", "objective_via_power_means", "objective_bounds"):
+        got = outcome(getattr(theory, name), d, p)
+        assert got[0] in (NonFiniteError, NonpositiveValueError)
+        assert got == outcome(getattr(theory_oracle, name), d, p), name
+    for name in ("power_mean", "geometric_mean"):
+        args = (d[row], -1.5) if name == "power_mean" else (d[row],)
+        assert outcome(getattr(theory, name), *args) == outcome(getattr(theory_oracle, name), *args), name

@@ -214,6 +214,12 @@ class TestWeightRatio:
         with pytest.raises(NonpositiveDispersionError):
             weight_ratio(0.0, 1.0, 2.0)
 
+    @pytest.mark.parametrize("d_u, d_v", [(1.0, math.nan), (math.nan, 1.0), (math.nan, math.nan)])
+    def test_rejects_nan(self, d_u, d_v):
+        # every comparison with NaN is false, which once let it through
+        with pytest.raises(NonpositiveDispersionError):
+            weight_ratio(d_u, d_v, 2.0)
+
 
 class TestSuppressionBounds:
     def test_pairwise_hand_values(self):
@@ -233,6 +239,12 @@ class TestSuppressionBounds:
 
     def test_global_limit_c_to_one(self):
         assert global_suppression_bound(1.0 + 1e-12, 2, 2.0) == pytest.approx(0.5, abs=1e-9)
+
+    def test_nan_c_rejected(self):
+        with pytest.raises(InvalidCError):
+            pairwise_suppression_bound(math.nan, 2.0)
+        with pytest.raises(InvalidCError):
+            global_suppression_bound(math.nan, 3, 2.0)
 
     def test_global_rejects_bad_m(self):
         with pytest.raises(InvalidMError):
