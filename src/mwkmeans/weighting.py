@@ -26,7 +26,7 @@ def update_weights(dispersions: DispersionMatrix | np.ndarray, p: float) -> np.n
     whole row is zero). Positive rows are computed in the log domain so
     exponents 1/(p-1) of 100+ neither overflow nor underflow. A negative
     dispersion raises NonpositiveDispersionError, a NaN one NonFiniteError
-    naming its cell.
+    naming its cell, and an empty matrix EmptyMatrixError.
     """
     d = dispersions.d if isinstance(dispersions, DispersionMatrix) else np.asarray(dispersions, dtype=float)
     d = np.atleast_2d(d)
